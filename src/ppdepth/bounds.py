@@ -5,10 +5,9 @@ All bound arithmetic runs in log-space; linear values are materialized only
 below 1e300 and reported as inf beyond.  The covering-number bound for a VC
 class of dimension v is max(c_v, (4 (S_n/n) (2M/eps)^p)^v) where the constant
 c_v = max{c in N : log(c) >= c^{1/(v-1) - 1/v}}; that set is empty for v = 2
-under the natural logarithm, in which case c_v falls back to 1 (with a
-warning).  The tail bound for indicator classes is
-16 (alpha n)^{v-1} exp(-eps^2 n / (32 beta)) plus the two count-tail terms,
-valid once n >= 8 E[L^2] / eps^2.
+under the natural logarithm, in which case c_v falls back to 1.  The tail
+bound for indicator classes is 16 (alpha n)^{v-1} exp(-eps^2 n / (32 beta))
+plus the two count-tail terms, valid once n >= 8 E[L^2] / eps^2.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .functions import (
     HalfSpaceIndicator,
 )
 from .generators import CountLaw, RngStream
+from .measure import _golden_section
 from .patterns import Sample
 
 __all__ = [
@@ -95,9 +95,6 @@ def vc_constant(v: int, cap: int = _CV_SCAN_CAP) -> int:
         peak = cap
     anchor = next((c for c in (peak, peak + 1, peak - 1) if c >= 2 and ok(c)), None)
     if anchor is None:
-        warnings.warn(
-            f"no integer satisfies the c_v condition for v={v}; falling back to 1"
-        )
         return 1
     if ok(cap):
         warnings.warn(f"c_v scan truncated at the cap {cap} for v={v}")
@@ -240,20 +237,7 @@ def chernoff_tail(
     hi = 1.0
     while g(hi) < g(hi / 2.0) and hi < 1e6:
         hi *= 2.0
-    lo = 0.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = g(c), g(d)
-    while hi - lo > 1e-12:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = g(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = g(d)
+    lo, hi, fc, fd = _golden_section(g, 0.0, hi, 1e-12)
     g_min = min(g(0.5 * (lo + hi)), fc, fd, 0.0)
     value = math.exp(n * g_min) if n * g_min > -745.0 else 0.0
     return TailBound(min(1.0, value), "chernoff")

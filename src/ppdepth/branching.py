@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -177,16 +178,26 @@ def harris(tree: BrwTree, j: int, f: EvalFunction) -> float:
     """Cumulative estimator: the average of Y_v(f) over the first T_j
     breadth-first vertices (generations 0 .. j)."""
     _check_generation(tree, j)
-    total = 0.0
-    for l in range(1, j + 2):
-        total += float(f.evaluate(tree.disp[l]).sum())
-    return total / tree.cumulative_size(j)
+    sums = [float(f.evaluate(tree.disp[l]).sum()) for l in range(1, j + 2)]
+    return cumulative_estimates(tree, sums)[-1]
 
 
 def exact_sum(values: np.ndarray) -> float:
     """Correctly rounded float sum; keeps deterministic-tree identities exact
     (blocked pairwise summation rounds sums of repeated values)."""
     return math.fsum(values.tolist())
+
+
+def cumulative_estimates(tree: BrwTree, gen_sums) -> list[float]:
+    """The cumulative estimate for j = 0, 1, ... from the per-generation sums
+    ``gen_sums[l]`` = sum of f over V_{l+1}: the exact rational sum of
+    ``gen_sums[: j + 1]`` divided by T_j, rounded once."""
+    out, total, t_j = [], Fraction(0), 0
+    for j, value in enumerate(gen_sums):
+        total += Fraction(value)
+        t_j += tree.size(j)
+        out.append(float(total / t_j))
+    return out
 
 
 def laplace_estimates(tree: BrwTree, j: int, theta: float) -> tuple[float, float]:
@@ -196,8 +207,7 @@ def laplace_estimates(tree: BrwTree, j: int, theta: float) -> tuple[float, float
     _check_generation(tree, j)
     gen_sums = [exact_sum(np.exp(theta * tree.disp[l][:, 0])) for l in range(1, j + 2)]
     m_hat = gen_sums[-1] / tree.size(j)
-    m_tilde = math.fsum(gen_sums) / tree.cumulative_size(j)
-    return m_hat, m_tilde
+    return m_hat, cumulative_estimates(tree, gen_sums)[-1]
 
 
 def true_laplace(count: CountLaw, disp: DisplacementLaw, theta: float) -> float:
@@ -235,15 +245,19 @@ def normalized_fluctuations(
 
 
 def dump_tree(tree: BrwTree, path) -> None:
+    """Write the tree; each generation's labels extend its parents' labels."""
+    labels: list[list[int]] = [[]]
     with open(path, "w", encoding="utf-8") as fh:
         for j in range(tree.generations + 1):
-            for i in range(tree.size(j)):
-                record = {
-                    "label": list(tree.label_of(j, i)),
-                    "pos": tree.pos[j][i].tolist(),
-                    "disp": tree.disp[j][i].tolist(),
-                    "gen": j,
-                }
+            if j > 0:
+                parents = tree.parent[j]
+                births = np.arange(parents.size) - tree.child_offsets(j - 1)[parents] + 1
+                labels = [
+                    labels[p] + [b] for p, b in zip(parents.tolist(), births.tolist())
+                ]
+            rows = zip(labels, tree.pos[j].tolist(), tree.disp[j].tolist())
+            for label, pos, disp in rows:
+                record = {"label": label, "pos": pos, "disp": disp, "gen": j}
                 fh.write(json.dumps(record) + "\n")
 
 

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalReference, ReferenceMeasure, _sphere_directions
+from .measure import (
+    EmpiricalReference,
+    ReferenceMeasure,
+    _golden_section,
+    _sphere_directions,
+)
 from .patterns import Sample
 
 __all__ = [
@@ -96,12 +101,6 @@ def depth_1d(measure: ReferenceMeasure, x: float) -> DepthResult:
     return DepthResult(depth, direction, exact=True, tie_count=ties)
 
 
-def _weighted_points(measure: EmpiricalReference) -> tuple[np.ndarray, np.ndarray]:
-    pts = measure.sample.all_points()
-    w = np.full(pts.shape[0], 1.0 / measure.sample.n)
-    return pts, w
-
-
 def _tukey_depth_2d(
     points: np.ndarray, weights: np.ndarray, x: np.ndarray
 ) -> tuple[float, np.ndarray, int]:
@@ -153,7 +152,8 @@ def depth_2d_exact(measure: EmpiricalReference, x) -> DepthResult:
     if measure.dim != 2:
         raise ValueError("depth_2d_exact needs a two-dimensional measure")
     x = np.asarray(x, dtype=float).reshape(-1)
-    pts, w = _weighted_points(measure)
+    pts = measure.sample.all_points()
+    w = np.full(pts.shape[0], 1.0 / measure.sample.n)
     depth, direction, ties = _tukey_depth_2d(pts, w, x)
     return DepthResult(depth, direction, exact=True, tie_count=ties)
 
@@ -238,7 +238,7 @@ def depth_approx(measure: ReferenceMeasure, x, k: int) -> DepthResult:
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])[: max(1, min(k, 2))]
     if isinstance(measure, EmpiricalReference) and measure.sample.s_n <= 64 and d >= 2:
-        pts, _ = _weighted_points(measure)
+        pts = measure.sample.all_points()
         q = pts - x[None, :]
         lengths = np.linalg.norm(q, axis=1)
         q = q[lengths > 0] / lengths[lengths > 0, None]
@@ -295,21 +295,8 @@ def _smooth_depth_2d(measure: ReferenceMeasure, x: np.ndarray, grid: int = 512) 
 
     values = np.array([mass(a) for a in angles])
     i = int(np.argmin(values))
-    lo = angles[i] - 2.0 * math.pi / grid
-    hi = angles[i] + 2.0 * math.pi / grid
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    e = lo + invphi * (hi - lo)
-    fc, fe = mass(c), mass(e)
-    while hi - lo > 1e-12:
-        if fc < fe:
-            hi, e, fe = e, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = mass(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + invphi * (hi - lo)
-            fe = mass(e)
+    step = 2.0 * math.pi / grid
+    lo, hi, _, _ = _golden_section(mass, angles[i] - step, angles[i] + step, 1e-12)
     return min(float(values[i]), mass(0.5 * (lo + hi)))
 
 
@@ -402,12 +389,10 @@ def batch_depth_queries(payload: dict) -> list[dict]:
     carries weight 1/m).  Returns one row per query with keys x1..xd, depth,
     dir1..dird, exact, tie_count.
     """
-    from .patterns import PointPattern
-
     pts = np.atleast_2d(np.asarray(payload["points"], dtype=float))
     queries = np.atleast_2d(np.asarray(payload["queries"], dtype=float))
     method = payload.get("method", "exact2d")
-    measure = EmpiricalReference(Sample(tuple(PointPattern([p]) for p in pts)))
+    measure = EmpiricalReference(Sample(pts, np.ones(pts.shape[0], dtype=np.int64)))
     rows = []
     for xq in queries:
         if method == "exact1d":

@@ -45,6 +45,7 @@ __all__ = [
     "count_moments",
     "sample_count",
     "sample_pattern",
+    "draw_sample",
     "sample_sample",
 ]
 
@@ -584,17 +585,19 @@ def sample_pattern(count: CountLaw, disp: DisplacementLaw, rng: RngStream) -> Po
     return PointPattern(disp.sample(gen, size))
 
 
+def draw_sample(
+    n: int, count: CountLaw, disp: DisplacementLaw, gen: np.random.Generator
+) -> Sample:
+    """n independent patterns from a numpy generator: all n counts first,
+    then all points in one draw."""
+    sizes = count.sample(gen, n)
+    return Sample(disp.sample(gen, int(sizes.sum())), sizes)
+
+
 def sample_sample(
     n: int, count: CountLaw, disp: DisplacementLaw, rng: RngStream
 ) -> Sample:
     """Draw n independent patterns from one stream."""
     if n < 1:
         raise ValueError("need n >= 1 patterns")
-    gen = rng.generator()
-    sizes = count.sample(gen, n)
-    flat = disp.sample(gen, int(sizes.sum()))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    patterns = tuple(
-        PointPattern(flat[offsets[i] : offsets[i + 1]]) for i in range(n)
-    )
-    return Sample(patterns)
+    return draw_sample(n, count, disp, rng.generator())

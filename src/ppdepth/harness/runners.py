@@ -17,10 +17,17 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..bounds import DeviationBoundParams, chernoff_tail, deviation_bound
-from ..branching import exact_sum, grow_tree, true_laplace
+from ..branching import cumulative_estimates, exact_sum, grow_tree, true_laplace
 from ..depth import deepest_point, depth_sup_deviation
 from ..functions import Exponential, half_spaces
-from ..generators import CountLaw, DisplacementLaw, FixedCount, RngStream, UniformBox
+from ..generators import (
+    CountLaw,
+    DisplacementLaw,
+    FixedCount,
+    RngStream,
+    UniformBox,
+    draw_sample,
+)
 from ..measure import (
     EmpiricalReference,
     halfline_sup_rows,
@@ -28,7 +35,7 @@ from ..measure import (
     reference_for,
     sup_deviation,
 )
-from ..patterns import PointPattern, Sample, save_sample
+from ..patterns import save_sample
 from .config import ConfigError, ExperimentConfig
 from .records import ResultRecord
 
@@ -82,20 +89,6 @@ def _loglog_slope(ns: np.ndarray, means: np.ndarray) -> tuple[float, float]:
     return float(slope), se
 
 
-def _flat_sample(count: CountLaw, disp: DisplacementLaw, n: int, gen):
-    """Counts and flattened points of one sample, no pattern objects."""
-    sizes = count.sample(gen, n)
-    pts = disp.sample(gen, int(sizes.sum()))
-    return sizes, pts
-
-
-def _to_sample(sizes: np.ndarray, pts: np.ndarray) -> Sample:
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return Sample(
-        tuple(PointPattern(pts[offsets[i] : offsets[i + 1]]) for i in range(sizes.size))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Uniform deviation blocks (shared by the ulln and bound experiments)
 # ---------------------------------------------------------------------------
@@ -126,12 +119,7 @@ def _deviation_block(args) -> np.ndarray:
         return out
     for r in range(lo, hi):
         gen = RngStream(seed).child(tag, n, r).generator()
-        sizes, pts = _flat_sample(count, disp, n, gen)
-        if disp.dim == 1 and cls.kind in ("half_lines", "half_spaces") and cls.dim == 1:
-            weights = np.full(pts.shape[0], 1.0 / n)
-            out[r - lo] = halfline_sup_weighted(pts[:, 0], weights, ref)
-        else:
-            out[r - lo] = sup_deviation(_to_sample(sizes, pts), cls, ref).value
+        out[r - lo] = sup_deviation(draw_sample(n, count, disp, gen), cls, ref).value
     return out
 
 
@@ -182,7 +170,7 @@ def _clt_block(args) -> np.ndarray:
     root_n = math.sqrt(n)
     for r in range(lo, hi):
         gen = RngStream(seed).child("clt", n, r).generator()
-        _, pts = _flat_sample(count, disp, n, gen)
+        pts = disp.sample(gen, int(count.sample(gen, n).sum()))
         for k, f in enumerate(fs):
             out[r - lo, k] = root_n * (f.evaluate(pts).sum() / n - mus[k])
     return out
@@ -369,8 +357,7 @@ def _depth_block(args):
     deepest = []
     for r in range(lo, hi):
         gen = RngStream(seed).child("depth", n, r).generator()
-        sizes, pts = _flat_sample(count, disp, n, gen)
-        sample = _to_sample(sizes, pts)
+        sample = draw_sample(n, count, disp, gen)
         dev_rows[r - lo] = depth_sup_deviation(sample, ref, eval_points)
         sup_rows[r - lo] = sup_deviation(sample, cls, ref).value
         if r < deepest_cap:
@@ -474,21 +461,22 @@ def _brw_block(args):
         gen_exp = {}
 
         def laplace_sums(theta):
+            """Per-generation sums of e^{theta x} and the cumulative estimates."""
             if theta not in gen_exp:
-                gen_exp[theta] = [
+                sums = [
                     exact_sum(np.exp(theta * tree.disp[l][:, 0]))
                     for l in range(1, generations + 1)
                 ]
+                gen_exp[theta] = sums, cumulative_estimates(tree, sums)
             return gen_exp[theta]
 
         for a, j in enumerate(j_grid):
             for b, theta in enumerate(thetas):
-                sums = laplace_sums(theta)
+                sums, m_tilde = laplace_sums(theta)
                 m_hat = sums[j] / tree.size(j)
-                m_tilde = math.fsum(sums[: j + 1]) / tree.cumulative_size(j)
                 err_hat[r - lo, a, b] = abs(m_hat - m_true[b])
-                err_tilde[r - lo, a, b] = abs(m_tilde - m_true[b])
-        sums_f = laplace_sums(fluct_theta)
+                err_tilde[r - lo, a, b] = abs(m_tilde[j] - m_true[b])
+        sums_f, _ = laplace_sums(fluct_theta)
         for c, j in enumerate((j_star + 1, j_star + 2)):
             m_hat = sums_f[j] / tree.size(j)
             w_pair[r - lo, c] = math.sqrt(tree.size(j)) * (m_hat - mu_f)
@@ -574,7 +562,8 @@ def _diag_block(args):
     syms = np.empty(hi - lo)
     for r in range(lo, hi):
         gen = RngStream(seed).child("diag", n, r).generator()
-        sizes, pts = _flat_sample(count, disp, n, gen)
+        sizes = count.sample(gen, n)
+        pts = disp.sample(gen, int(sizes.sum()))
         weights = np.full(pts.shape[0], 1.0 / n)
         devs[r - lo] = halfline_sup_weighted(pts[:, 0], weights, ref)
         signs = gen.choice(np.array([-1.0, 1.0]), size=n)
@@ -647,9 +636,7 @@ def run_simulate(config: ExperimentConfig, out_dir, threads: int | None = None) 
     records: list[ResultRecord] = []
     if config.target == "sample":
         n = config.n_grid[0] if config.n_grid else 1
-        gen = rng.generator()
-        sizes, pts = _flat_sample(config.count, config.disp, n, gen)
-        sample = _to_sample(sizes, pts)
+        sample = draw_sample(n, config.count, config.disp, rng.generator())
         path = os.path.join(out_dir, "sample.ndjson")
         save_sample(sample, path)
         records.append(ResultRecord("patterns_written", float(sample.n)))

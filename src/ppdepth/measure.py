@@ -9,9 +9,12 @@ with mu(f) = E[L] E[f(X)], or the empirical measure of another sample.
 For half-lines the supremum is exact: it is attained (or approached one
 sidedly) at data points, at atoms of the reference, or in the tails, and both
 closed orientations are scanned.  For half-planes the scan enumerates all
-pair-normal directions with small angular perturbations on both sides, which
-is exact up to boundary ties.  In dimension three and above the result is a
-flagged lower bound over sampled directions.
+pair-normal directions with small angular perturbations on both sides.  That
+is exact (up to boundary ties) against an empirical reference, whose mass
+changes only at those directions; against any other reference the sup can
+lie inside an arc between them, so the result is flagged as a lower bound.
+In dimension three and above the result is a flagged lower bound over
+sampled directions.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ def covariance_hat(sample: Sample, f: EvalFunction, g: EvalFunction) -> float:
     """Unbiased sample covariance (divisor n - 1) of {Y_i(f)} and {Y_i(g)}."""
     if sample.n < 2:
         raise ValueError("covariance needs at least two patterns")
-    yf = np.array([pattern_integral(p, f) for p in sample.patterns])
-    yg = np.array([pattern_integral(p, g) for p in sample.patterns])
+    pats = sample.patterns
+    yf = np.array([pattern_integral(p, f) for p in pats])
+    yg = np.array([pattern_integral(p, g) for p in pats])
     return float((yf - yf.mean()) @ (yg - yg.mean()) / (sample.n - 1))
 
 
@@ -264,13 +268,14 @@ def _line_sup(
     return best_val, best_t, best_o
 
 
-def _halfline_sup_deviation(sample: Sample, ref: ReferenceMeasure) -> SupDeviation:
-    u = np.array([1.0])
-    xs = sample.all_points()[:, 0]
-    ws = np.full(xs.shape, 1.0 / sample.n)
+def _ref_line_sup(
+    xs: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, u: np.ndarray
+) -> tuple[float, float, int]:
+    """``_line_sup`` of the positions ``xs`` along ``u`` against ``ref``
+    projected on ``u``, with its atoms scanned when it has any."""
     atoms = ref.line_atoms(u)
     strict = None if atoms is None else (lambda s: ref.line_mass(u, s, strict=True))
-    value, t, orient = _line_sup(
+    return _line_sup(
         xs,
         ws,
         lambda s: ref.line_mass(u, s, strict=False),
@@ -278,7 +283,6 @@ def _halfline_sup_deviation(sample: Sample, ref: ReferenceMeasure) -> SupDeviati
         ref.total_mass,
         extra_positions=atoms,
     )
-    return SupDeviation(value, HalfLineIndicator(t, orient), exact=True)
 
 
 def halfline_sup_weighted(
@@ -295,21 +299,8 @@ def halfline_sup_weighted(
     if ws.shape != xs.shape:
         raise ValueError("one weight per point required")
     if ref is None:
-        zero = lambda s: np.zeros(np.shape(s))
-        value, _, _ = _line_sup(xs, ws, zero, None, 0.0)
-        return value
-    u = np.array([1.0])
-    atoms = ref.line_atoms(u)
-    strict = None if atoms is None else (lambda s: ref.line_mass(u, s, strict=True))
-    value, _, _ = _line_sup(
-        xs,
-        ws,
-        lambda s: ref.line_mass(u, s, strict=False),
-        strict,
-        ref.total_mass,
-        extra_positions=atoms,
-    )
-    return value
+        return _line_sup(xs, ws, lambda s: np.zeros(np.shape(s)), None, 0.0)[0]
+    return _ref_line_sup(xs, ws, ref, np.array([1.0]))[0]
 
 
 def signed_halfline_sup(sample: Sample, signs: np.ndarray) -> float:
@@ -387,6 +378,26 @@ def _pair_normal_directions(points: np.ndarray, wobble: float = 1e-7) -> np.ndar
     return dirs
 
 
+def _golden_section(f, lo: float, hi: float, tol: float):
+    """Golden-section search for a minimum of ``f`` on [lo, hi], shrinking
+    the bracket until it is at most ``tol`` wide.  Returns the final bracket
+    and the values of ``f`` at its two interior points, (lo, hi, fc, fd)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return lo, hi, fc, fd
+
+
 def _sphere_directions(dim: int, k: int) -> np.ndarray:
     """A deterministic prefix sequence of k roughly uniform unit directions."""
     if dim == 1:
@@ -412,21 +423,9 @@ def _directional_sup(
 ) -> tuple[float, HalfSpaceIndicator]:
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
-    atomless = ref.line_atoms(dirs[0]) is None  # atom presence is direction-free
     best = (-1.0, None, None, None)
     for u in dirs:
-        proj = pts @ u
-        strict = (
-            None if atomless else (lambda s, u=u: ref.line_mass(u, s, strict=True))
-        )
-        value, t, orient = _line_sup(
-            proj,
-            ws,
-            lambda s, u=u: ref.line_mass(u, s, strict=False),
-            strict,
-            ref.total_mass,
-            extra_positions=None if atomless else ref.line_atoms(u),
-        )
+        value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
         if value > best[0]:
             best = (value, u, t, orient)
     value, u, t, orient = best
@@ -457,22 +456,10 @@ def _exponential_sup(
     thetas = np.linspace(-r, r, grid)
     vals = np.array([h(t) for t in thetas])
     i = int(np.argmax(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, grid - 1)]
     # golden-section refinement of the bracket around the grid argmax
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = h(c), h(d)
-    while hi - lo > 1e-9:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = h(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = h(d)
+    lo, hi, _, _ = _golden_section(
+        lambda t: -h(t), thetas[max(i - 1, 0)], thetas[min(i + 1, grid - 1)], 1e-9
+    )
     theta = 0.5 * (lo + hi)
     value = max(h(theta), vals[i])
     if vals[i] >= value:
@@ -490,8 +477,10 @@ def sup_deviation(
 ) -> SupDeviation:
     """sup_f |mu_n(f) - mu(f)| over the class, with the achieving function.
 
-    Exact for half-lines and (up to boundary ties) for half-planes; a flagged
-    lower bound from ``directions`` sampled directions in dimension >= 3.
+    Exact for half-lines, and (up to boundary ties) for half-planes against
+    an empirical reference; a flagged lower bound for half-planes against any
+    other reference (pair-normal directions only) and from ``directions``
+    sampled directions in dimension >= 3.
     """
     if ref.dim != sample.dim:
         raise ValueError("sample and reference dimensions differ")
@@ -499,7 +488,10 @@ def sup_deviation(
     if kind == "half_lines" or (kind == "half_spaces" and cls.dim == 1):
         if sample.dim != 1:
             raise ValueError("half-line classes need one-dimensional samples")
-        return _halfline_sup_deviation(sample, ref)
+        xs = sample.all_points()[:, 0]
+        ws = np.full(xs.shape, 1.0 / sample.n)
+        value, t, orient = _ref_line_sup(xs, ws, ref, np.array([1.0]))
+        return SupDeviation(value, HalfLineIndicator(t, orient), exact=True)
     if kind == "half_spaces" and cls.dim == 2:
         pts = sample.all_points()
         if isinstance(ref, EmpiricalReference):
@@ -507,7 +499,7 @@ def sup_deviation(
             pts = np.concatenate([pts, ref.sample.all_points()], axis=0)
         dirs = _pair_normal_directions(pts)
         value, argmax = _directional_sup(sample, ref, dirs)
-        return SupDeviation(value, argmax, exact=True)
+        return SupDeviation(value, argmax, exact=isinstance(ref, EmpiricalReference))
     if kind == "half_spaces":
         dirs = _sphere_directions(cls.dim, directions)
         pts = sample.all_points()

@@ -1,15 +1,16 @@
 """Point patterns and samples of point patterns.
 
 A point pattern is one realization of a finite point process on R^d: a
-nonempty list of points.  A sample is n independent patterns together with
-the cached totals S_n = sum_i L_i and S_{n,2} = sum_i L_i^2, where L_i is
-the number of points in pattern i.  Both containers are immutable.
+nonempty list of points.  A sample is n independent patterns, stored as one
+read-only (S_n, d) array of all their points, pattern by pattern, plus the
+pattern sizes L_1, ..., L_n; it caches the totals S_n = sum_i L_i and
+S_{n,2} = sum_i L_i^2.  Both containers are immutable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,47 +46,78 @@ class PointPattern:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
 class Sample:
-    """n point patterns with eagerly cached totals s_n and s_n2."""
+    """n point patterns held as one read-only (S_n, d) array plus their sizes.
 
-    patterns: tuple[PointPattern, ...]
-    s_n: int = field(init=False)
-    s_n2: int = field(init=False)
+    ``Sample(points, sizes)`` takes the flat form: the points of all patterns
+    stacked in order, and ``sizes[i]``, the number of points of pattern i.
+    ``Sample(patterns)`` takes a sequence of ``PointPattern`` objects or
+    (L, d) array-likes and flattens it once.
+    """
 
-    def __post_init__(self):
-        pats = tuple(
-            p if isinstance(p, PointPattern) else PointPattern(p) for p in self.patterns
+    def __init__(self, points, sizes=None):
+        if sizes is None:
+            arrays = [
+                (p if isinstance(p, PointPattern) else PointPattern(p)).points
+                for p in points
+            ]
+            dims = sorted({a.shape[1] for a in arrays})
+            if len(dims) > 1:
+                raise ValueError(f"patterns have mixed dimensions {dims}")
+            points = np.concatenate(arrays) if arrays else np.empty((0, 1))
+            sizes = np.array([a.shape[0] for a in arrays], dtype=np.int64)
+        pts = np.asarray(points, dtype=float)
+        sizes = np.asarray(sizes)
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise ValueError(f"sample points must be an (S_n, d) array, not {pts.shape}")
+        if sizes.ndim != 1 or sizes.size < 1 or sizes.dtype.kind not in "iu":
+            raise ValueError("sample needs at least one pattern and integer sizes")
+        if sizes.min() < 1:
+            raise ValueError("every pattern needs at least one point")
+        if int(sizes.sum()) != pts.shape[0]:
+            raise ValueError(f"pattern sizes sum to {sizes.sum()}, not {pts.shape[0]}")
+        if not np.isfinite(pts).all():
+            raise ValueError("pattern coordinates must be finite")
+        pts = pts.view()
+        sizes = sizes.astype(np.int64)
+        pts.setflags(write=False)
+        sizes.setflags(write=False)
+        vars(self).update(
+            _points=pts, _sizes=sizes, s_n=pts.shape[0], s_n2=int(sizes @ sizes)
         )
-        if len(pats) < 1:
-            raise ValueError("sample needs at least one pattern")
-        dims = {p.dim for p in pats}
-        if len(dims) != 1:
-            raise ValueError(f"patterns have mixed dimensions {sorted(dims)}")
-        sizes = [p.size for p in pats]
-        object.__setattr__(self, "patterns", pats)
-        object.__setattr__(self, "s_n", int(sum(sizes)))
-        object.__setattr__(self, "s_n2", int(sum(s * s for s in sizes)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Sample is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Sample(n={self.n}, s_n={self.s_n}, dim={self.dim})"
 
     @property
     def n(self) -> int:
-        return len(self.patterns)
+        return self._sizes.size
 
     @property
     def dim(self) -> int:
-        return self.patterns[0].dim
+        return self._points.shape[1]
 
     @property
     def ratio(self) -> float:
         """S_n / n, the average number of points per pattern (always >= 1)."""
         return self.s_n / self.n
 
+    @property
+    def patterns(self) -> tuple[PointPattern, ...]:
+        """The patterns, as read-only views into the point array."""
+        bounds = np.cumsum(self._sizes)[:-1]
+        return tuple(map(PointPattern, np.split(self._points, bounds)))
+
     def sizes(self) -> np.ndarray:
-        return np.array([p.size for p in self.patterns], dtype=np.int64)
+        """The read-only (n,) vector of pattern sizes."""
+        return self._sizes
 
     def all_points(self) -> np.ndarray:
-        """All S_n points stacked pattern by pattern into an (S_n, d) array."""
-        return np.concatenate([p.points for p in self.patterns], axis=0)
+        """The read-only (S_n, d) array of all points, pattern by pattern."""
+        return self._points
 
 
 def save_sample(sample: Sample, path) -> None:
@@ -110,7 +142,7 @@ def load_sample(path) -> Sample:
                 raise ValueError(f"{path}:{lineno}: malformed pattern record") from exc
             if not isinstance(pts, list) or len(pts) < 1:
                 raise ValueError(f"{path}:{lineno}: pattern must have L >= 1 points")
-            patterns.append(PointPattern(np.asarray(pts, dtype=float)))
+            patterns.append(pts)
     if not patterns:
         raise ValueError(f"{path}: no patterns found")
-    return Sample(tuple(patterns))
+    return Sample(patterns)

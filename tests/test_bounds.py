@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ class TestSauerBound:
 class TestVcConstant:
     def test_v1_and_v2_fall_back_to_one(self):
         assert vc_constant(1) == 1
-        with pytest.warns(UserWarning, match="falling back"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert vc_constant(2) == 1
 
     def test_v3_is_the_true_maximum(self):
@@ -78,7 +80,8 @@ class TestVcCoveringBound:
         assert b.linear == 1.0
 
     def test_v2_example(self):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             b = vc_covering_bound(VcBoundParams(0.5, 1.0, 1.0, 2, 1.0))
         assert b.linear == pytest.approx(max(1.0, (4 * (2 / 0.5)) ** 2))
         assert b.linear == pytest.approx(256.0)

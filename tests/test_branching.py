@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -190,6 +191,14 @@ class TestLaplace:
             assert m_hat == 2.0
             assert m_tilde == pytest.approx(2.0)
 
+    def test_cumulative_estimate_exact_on_deterministic_tree(self):
+        count, disp = FixedCount(2), DiscretePoints([[0.5]], [1.0])
+        tree = grow_tree(count, disp, 9, RngStream(0))
+        for j in (2, 4, 6, 8):
+            for theta in (-1.0, 0.0, 1.0):
+                _, m_tilde = laplace_estimates(tree, j, theta)
+                assert m_tilde == true_laplace(count, disp, theta), (j, theta)
+
     def test_true_laplace_values(self):
         assert true_laplace(FixedCount(2), UNIFORM01, 0.0) == pytest.approx(2.0)
         assert true_laplace(FixedCount(2), UNIFORM01, 1.0) == pytest.approx(
@@ -258,6 +267,18 @@ class TestTreeSerialization:
             np.testing.assert_array_equal(loaded.pos[j], tree.pos[j])
             np.testing.assert_array_equal(loaded.disp[j], tree.disp[j])
             np.testing.assert_array_equal(loaded.parent[j], tree.parent[j])
+
+    def test_dumped_labels_match_label_of(self, tmp_path):
+        tree = grow_tree(ShiftedPoisson(1.5), UNIFORM01, 5, RngStream(16))
+        path = tmp_path / "tree.ndjson"
+        dump_tree(tree, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        expected = [
+            (j, list(tree.label_of(j, i)))
+            for j in range(tree.generations + 1)
+            for i in range(tree.size(j))
+        ]
+        assert [(r["gen"], r["label"]) for r in records] == expected
 
     def test_loader_rejects_broken_recursion(self, tmp_path):
         path = tmp_path / "tree.ndjson"

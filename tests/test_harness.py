@@ -234,6 +234,24 @@ class TestRunners:
             if r.statistic == "mean_abs_error_generation":
                 assert r.value == 0.0
 
+    def test_brw_cumulative_exact_for_deterministic_tree(self):
+        """The cumulative estimator is rounded once, so on the deterministic
+        tree (two children, each displaced by 0.5) its error is exactly 0."""
+        raw = base_config(
+            kind="brw",
+            count={"kind": "fixed", "k": 2},
+            disp={"kind": "discrete", "points": [[0.5]], "weights": [1.0]},
+            j_grid=[2, 4, 6, 8],
+            theta_grid=[-1.0, 0.0, 1.0],
+            replicates=3,
+            fluct_theta=1.0,
+        )
+        out = run_experiment(build_config(raw), threads=1)
+        errors = [r for r in out.records if r.statistic == "mean_abs_error_cumulative"]
+        assert len(errors) == 12
+        for r in errors:
+            assert r.value == 0.0, r.params
+
     def test_diag_single_pattern_fixture(self):
         raw = base_config(
             kind="diag",

@@ -6,12 +6,14 @@ from scipy.integrate import quad
 
 from ppdepth import (
     Constant,
+    DiagonalGaussian,
     DiscretePoints,
     EmpiricalReference,
     Exponential,
     FixedCount,
     HalfLineIndicator,
     PointPattern,
+    RngStream,
     Sample,
     ShiftedPoisson,
     Tabulated,
@@ -26,10 +28,11 @@ from ppdepth import (
     pattern_integral,
     reference_for,
     reference_mass,
+    sample_sample,
     signed_halfline_sup,
     sup_deviation,
 )
-from ppdepth.measure import halfline_sup_rows, halfline_sup_weighted
+from ppdepth.measure import _directional_sup, halfline_sup_rows, halfline_sup_weighted
 
 
 def one_point_sample(values) -> Sample:
@@ -335,7 +338,8 @@ class TestSupDeviationOtherClasses:
         ref = reference_for(FixedCount(1), box)
         s = Sample(tuple(PointPattern(rng.uniform(0, 1, (1, 2))) for _ in range(30)))
         res = sup_deviation(s, half_spaces(2), ref)
-        assert res.exact
+        # pair-normal directions only: a lower bound against an analytic target
+        assert not res.exact
         pts = s.all_points()
         best = 0.0
         for phi in np.linspace(0, 2 * math.pi, 3000, endpoint=False):
@@ -347,6 +351,20 @@ class TestSupDeviationOtherClasses:
                 best = max(best, dev)
         assert res.value >= best - 1e-12
         assert res.value <= best + 0.02
+
+    def test_halfplane_analytic_target_is_not_flagged_exact(self):
+        """Against an analytic reference the sup can lie inside an arc between
+        pair-normal directions: here a dense 20,000-direction scan finds
+        0.701865 while those directions give 0.697661.  Whatever the planar
+        sup returns, a value below the dense scan must not be flagged exact."""
+        disp = DiagonalGaussian([0.0, 0.0], [1.0, 3.0])
+        ref = reference_for(FixedCount(1), disp)
+        s = sample_sample(4, FixedCount(1), disp, RngStream(5))
+        res = sup_deviation(s, half_spaces(2), ref)
+        phi = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
+        dense, _ = _directional_sup(s, ref, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        assert dense > 0.7018
+        assert not res.exact or res.value >= dense
 
     def test_halfplane_empirical_target_matches_dense_scan(self):
         rng = np.random.default_rng(48)

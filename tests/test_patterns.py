@@ -47,6 +47,56 @@ class TestSample:
             Sample(())
 
 
+class TestFlatSample:
+    def _parts(self):
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(1, 5, size=12)
+        return rng.normal(size=(int(sizes.sum()), 2)), sizes
+
+    def test_flat_and_pattern_construction_agree(self):
+        pts, sizes = self._parts()
+        flat = Sample(pts, sizes)
+        bounds = np.cumsum(sizes)[:-1]
+        ragged = Sample(tuple(PointPattern(p) for p in np.split(pts, bounds)))
+        np.testing.assert_array_equal(flat.all_points(), ragged.all_points())
+        np.testing.assert_array_equal(flat.sizes(), ragged.sizes())
+        assert (flat.s_n, flat.s_n2) == (ragged.s_n, ragged.s_n2)
+        assert (flat.s_n, flat.s_n2) == (int(sizes.sum()), int((sizes**2).sum()))
+
+    def test_all_points_is_one_read_only_array(self):
+        pts, sizes = self._parts()
+        sample = Sample(pts, sizes)
+        assert sample.all_points() is sample.all_points()
+        assert sample.sizes() is sample.sizes()
+        with pytest.raises(ValueError):
+            sample.all_points()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sample.sizes()[0] = 2
+
+    def test_patterns_are_the_matching_slices(self):
+        pts, sizes = self._parts()
+        sample = Sample(pts, sizes)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        assert len(sample.patterns) == sample.n == sizes.size
+        for i, pat in enumerate(sample.patterns):
+            np.testing.assert_array_equal(pat.points, pts[starts[i] : starts[i + 1]])
+
+    def test_rejects_malformed_flat_input(self):
+        pts, sizes = self._parts()
+        bad = pts.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Sample(bad, sizes)
+        zero = sizes.copy()
+        zero[0], zero[1] = 0, zero[1] + zero[0]
+        with pytest.raises(ValueError, match="at least one point"):
+            Sample(pts, zero)
+        with pytest.raises(ValueError, match="sum"):
+            Sample(pts, sizes[:-1])
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            Sample([np.zeros((2, 1)), np.zeros((1, 2))])
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
