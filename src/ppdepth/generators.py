@@ -150,8 +150,8 @@ class ShiftedPoisson(CountLaw):
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("rate must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("rate must be finite and >= 0")
 
     def sample(self, gen, size):
         return 1 + gen.poisson(self.lam, size=size).astype(np.int64)
@@ -434,6 +434,10 @@ class UniformBox(DisplacementLaw):
         object.__setattr__(self, "dim", lo.size)
 
     def sample(self, gen, size):
+        if self.dim == 1:
+            # scalar bounds take numpy's scalar path: the same C draw per
+            # point as the broadcast path below, without the broadcasting
+            return gen.uniform(float(self.low[0]), float(self.high[0]), size=(size, 1))
         return gen.uniform(self.low, self.high, size=(size, self.dim))
 
     def projection_cdf(self, u, s, strict=False):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..functions import (
@@ -162,6 +163,10 @@ class ExperimentConfig:
             raise ConfigError("sample sizes must be >= 1")
         if self.kind == "bound" and not self.epsilon_grid:
             raise ConfigError("bound experiments need an epsilon_grid")
+        if not all(math.isfinite(e) and e > 0 for e in self.epsilon_grid):
+            raise ConfigError("epsilon_grid entries must be finite and > 0")
+        if self.kind == "clt" and self.gt_draws < 2:
+            raise ConfigError("clt experiments need gt_draws >= 2")
         if self.kind == "brw" and not self.j_grid:
             raise ConfigError("brw experiments need a j_grid")
         if self.out_format not in ("csv", "json"):

@@ -206,6 +206,24 @@ class SupDeviation:
     exact: bool
 
 
+def _sweep_sups(weak_max, weak_min, strict_max, strict_min, dtot):
+    """Maxima of the four sweep candidates |dev_weak|, |dev_strict|,
+    |dtot - dev_strict| and |dtot - dev_weak|, in that order, from the
+    extremes of ``dev_weak`` and ``dev_strict`` (scalars, or one per row).
+
+    |d| is largest at an extreme of d, and fl(dtot - d) is monotone in d
+    because rounding is monotone, so its absolute value is also largest at
+    an extreme: these are exactly the floats that full passes over the
+    candidate arrays give.
+    """
+    return (
+        np.maximum(abs(weak_max), abs(weak_min)),
+        np.maximum(abs(strict_max), abs(strict_min)),
+        np.maximum(abs(dtot - strict_min), abs(dtot - strict_max)),
+        np.maximum(abs(dtot - weak_min), abs(dtot - weak_max)),
+    )
+
+
 def _line_sup(
     xs: np.ndarray,
     ws: np.ndarray,
@@ -223,14 +241,30 @@ def _line_sup(
     one-sided limits are scanned at every data position (and at the
     reference's atoms, passed via ``extra_positions``).  Returns
     (value, threshold, orientation); infinite thresholds encode the tails.
+
+    The cumulative weights are ``np.cumsum`` of the weights in stably sorted
+    order.  Equal weights only need the sorted positions, since no order of
+    ties changes their cumsum.  Unequal weights take the default argsort,
+    which agrees with the stable one unless positions tie; only then is the
+    stable argsort run.  The value comes from the extremes of the weak and
+    strict deviations (``_sweep_sups``); one argmax over the winning
+    candidate then gives its first index, so the threshold and orientation
+    follow the scan order: weak, strict, then the two reversed candidates,
+    each taken only when strictly larger than all before it and the tails.
     """
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ws = ws[order]
+    if ws.size and (ws == ws[0]).all():
+        xs = np.sort(xs)
+    else:
+        order = np.argsort(xs)
+        sorted_xs = xs[order]
+        if not (sorted_xs[1:] > sorted_xs[:-1]).all():
+            order = np.argsort(xs, kind="stable")
+            sorted_xs = xs[order]
+        xs, ws = sorted_xs, ws[order]
     cum = np.cumsum(ws)
     emp_total = float(cum[-1]) if cum.size else 0.0
 
-    no_ties = xs.size == 0 or bool((np.diff(xs) > 0).all())
+    no_ties = bool((xs[1:] > xs[:-1]).all())
     if no_ties and (extra_positions is None or not len(extra_positions)):
         pos = xs
         emp_weak = cum
@@ -244,28 +278,37 @@ def _line_sup(
         emp_weak = np.where(idx_weak > 0, cum[idx_weak - 1], 0.0)
         emp_strict = np.where(idx_strict > 0, cum[idx_strict - 1], 0.0)
 
-    ref_weak_vals = np.asarray(ref_weak(pos), dtype=float)
-    if ref_strict is None:
-        ref_strict_vals = ref_weak_vals
-    else:
-        ref_strict_vals = np.asarray(ref_strict(pos), dtype=float)
-    dev_weak = emp_weak - ref_weak_vals
-    dev_strict = emp_strict - ref_strict_vals
     dtot = emp_total - ref_total
-
+    # the tails: closed (-inf, inf) and the empty half-line
+    best_val, best_k = abs(dtot), -1
+    if pos.size:
+        ref_weak_vals = np.asarray(ref_weak(pos), dtype=float)
+        if ref_strict is None:
+            ref_strict_vals = ref_weak_vals
+        else:
+            ref_strict_vals = np.asarray(ref_strict(pos), dtype=float)
+        dev_weak = emp_weak - ref_weak_vals
+        dev_strict = emp_strict - ref_strict_vals
+        sups = _sweep_sups(
+            dev_weak.max(), dev_weak.min(), dev_strict.max(), dev_strict.min(), dtot
+        )
+        for k, v in enumerate(sups):
+            if v > best_val:
+                best_val, best_k = float(v), k
+    if best_k < 0:
+        return best_val, math.inf, 1
     # orientation +1: closed (-inf, t] and its left limit; orientation -1:
-    # closed [t, inf) and its right limit; then the two tail candidates.
-    best_val, best_t, best_o = abs(dtot), math.inf, 1
-    for devs, orient in (
-        (np.abs(dev_weak), 1),
-        (np.abs(dev_strict), 1),
-        (np.abs(dtot - dev_strict), -1),
-        (np.abs(dtot - dev_weak), -1),
-    ):
-        i = int(np.argmax(devs)) if devs.size else 0
-        if devs.size and devs[i] > best_val:
-            best_val, best_t, best_o = float(devs[i]), float(pos[i]), orient
-    return best_val, best_t, best_o
+    # closed [t, inf) and its right limit
+    if best_k == 0:
+        devs = dev_weak
+    elif best_k == 1:
+        devs = dev_strict
+    elif best_k == 2:
+        devs = dtot - dev_strict
+    else:
+        devs = dtot - dev_weak
+    i = int(np.argmax(np.abs(devs)))
+    return best_val, float(pos[i]), 1 if best_k < 2 else -1
 
 
 def _ref_line_sup(
@@ -326,24 +369,35 @@ def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.nda
     every point carrying weight 1/n.  Requires an atomless reference (ties
     then have probability zero and the weak/strict scan reduces to shifted
     cumulative weights).  Matches ``sup_deviation`` on each row.
+
+    Each row's value comes from the max and min of its weak deviations
+    (``_sweep_sups``).  The strict deviations are the weak ones less 1/n,
+    and rounding is monotone, so their extremes are the weak extremes less
+    1/n.  Rows are sorted and reduced in blocks of about 2^15 points, so
+    each block's deviations stay in cache and no (B, m) array beyond the
+    sorted copy of ``rows`` is built.
     """
     if ref.line_atoms(np.array([1.0])) is not None:
         raise ValueError("batched sweep requires an atomless reference")
     rows = np.array(rows, dtype=float)
-    for row in rows:  # row-wise sorts stay cache-resident, axis sorts do not
-        row.sort()
     b, m = rows.shape
     u = np.array([1.0])
     cum = np.arange(1, m + 1, dtype=float) / n
-    ref_vals = np.asarray(ref.line_mass(u, rows), dtype=float)
-    dev_weak = cum[None, :] - ref_vals
-    dev_strict = dev_weak - 1.0 / n
+    weak_max = np.empty(b)
+    weak_min = np.empty(b)
+    per = max(1, (1 << 15) // m)
+    for lo in range(0, b, per):
+        block = rows[lo : lo + per]
+        for row in block:  # row-wise sorts stay cache-resident, axis sorts do not
+            row.sort()
+        dev_weak = cum - np.asarray(ref.line_mass(u, block), dtype=float)
+        dev_weak.max(axis=1, out=weak_max[lo : lo + per])
+        dev_weak.min(axis=1, out=weak_min[lo : lo + per])
+    step = 1.0 / n
     dtot = m / n - ref.total_mass
-    out = np.abs(dev_weak).max(axis=1)
-    np.maximum(out, np.abs(dev_strict).max(axis=1), out=out)
-    np.maximum(out, np.abs(dtot - dev_weak).max(axis=1), out=out)
-    np.maximum(out, np.abs(dtot - dev_strict).max(axis=1), out=out)
-    np.maximum(out, abs(dtot), out=out)
+    out = np.full(b, abs(dtot))
+    for sup in _sweep_sups(weak_max, weak_min, weak_max - step, weak_min - step, dtot):
+        np.maximum(out, sup, out=out)
     return out
 
 

@@ -101,6 +101,11 @@ class TestCountSampling:
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 4.0 * se
 
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    def test_shifted_poisson_rejects_bad_rate(self, lam):
+        with pytest.raises(ValueError, match="rate"):
+            ShiftedPoisson(lam)
+
     def test_sample_count_single_draw(self):
         assert sample_count(FixedCount(7), RngStream(0)) == 7
 
@@ -253,6 +258,29 @@ class TestDisplacementLaws:
             UniformBox([0.0], [0.0])
         with pytest.raises(ValueError):
             DiscretePoints([[0.0]], [0.5])
+
+
+class TestUniformDraws:
+    """One-dimensional boxes draw through numpy's scalar-bound path; the
+    draws must equal the broadcast path's bit for bit."""
+
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), (-2.5, 7.25)])
+    @pytest.mark.parametrize("m", [1, 200, 100_000])
+    def test_one_dimensional_draws_match_broadcast_path(self, low, high, m):
+        law = UniformBox([low], [high])
+        got = law.sample(RngStream(7).generator(), m)
+        expected = RngStream(7).generator().uniform(
+            np.array([low]), np.array([high]), size=(m, 1)
+        )
+        assert got.shape == (m, 1)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 200, 100_000])
+    def test_two_dimensional_draws_unchanged(self, m):
+        low, high = np.array([0.0, -2.5]), np.array([1.0, 7.25])
+        got = UniformBox(low, high).sample(RngStream(8).generator(), m)
+        expected = RngStream(8).generator().uniform(low, high, size=(m, 2))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPatternSampling:

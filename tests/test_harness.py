@@ -325,6 +325,32 @@ class TestCli:
         cfg = self._write(tmp_path, base_config(n_grid=[]))
         assert cli_main(["ulln", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    CLT_PAIR = {"kind": "finite_list", "functions": [
+        {"kind": "constant", "value": 1.0}, {"kind": "half_line", "threshold": 0.5}]}
+
+    @pytest.mark.parametrize(
+        "kind,overrides",
+        [
+            ("diag", {"epsilon_grid": [0.0]}),
+            ("bound", {"epsilon_grid": [-0.1]}),
+            ("bound", {"epsilon_grid": [0.1, float("inf")]}),
+            ("clt", {"gt_draws": 0, "function_class": CLT_PAIR, "replicates": 100}),
+            ("ulln", {"count": {"kind": "shifted_poisson", "lambda": float("nan")}}),
+        ],
+        ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
+             "ulln-nan-rate"],
+    )
+    def test_bad_values_exit_one_with_one_line(self, tmp_path, capsys, kind, overrides):
+        """Malformed values end in exit 1 and a one-line message, and no
+        output file is written."""
+        cfg = self._write(tmp_path, base_config(kind=kind, **overrides))
+        out_dir = tmp_path / "out"
+        assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("ppdepth: ")
+        assert not (out_dir / f"{kind}.csv").exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli_main(["ulln", "--config", str(tmp_path / "nope.json")]) == 3
 

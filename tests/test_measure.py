@@ -32,7 +32,12 @@ from ppdepth import (
     signed_halfline_sup,
     sup_deviation,
 )
-from ppdepth.measure import _directional_sup, halfline_sup_rows, halfline_sup_weighted
+from ppdepth.measure import (
+    _directional_sup,
+    _line_sup,
+    halfline_sup_rows,
+    halfline_sup_weighted,
+)
 
 
 def one_point_sample(values) -> Sample:
@@ -469,6 +474,137 @@ class TestBatchedSweep:
         ref = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
         with pytest.raises(ValueError):
             halfline_sup_rows(np.zeros((2, 3)), 3, ref)
+
+
+def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
+    """The half-line sweep as first written: stable argsort, then one full
+    abs/argmax pass per candidate.  The oracle for ``_line_sup``."""
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    ws = ws[order]
+    cum = np.cumsum(ws)
+    emp_total = float(cum[-1]) if cum.size else 0.0
+    no_ties = xs.size == 0 or bool((np.diff(xs) > 0).all())
+    if no_ties and (extra_positions is None or not len(extra_positions)):
+        pos, emp_weak, emp_strict = xs, cum, cum - ws
+    else:
+        pos = np.unique(xs)
+        if extra_positions is not None and len(extra_positions):
+            pos = np.union1d(pos, np.asarray(extra_positions, dtype=float))
+        idx_weak = np.searchsorted(xs, pos, side="right")
+        idx_strict = np.searchsorted(xs, pos, side="left")
+        emp_weak = np.where(idx_weak > 0, cum[idx_weak - 1], 0.0)
+        emp_strict = np.where(idx_strict > 0, cum[idx_strict - 1], 0.0)
+    ref_weak_vals = np.asarray(ref_weak(pos), dtype=float)
+    if ref_strict is None:
+        ref_strict_vals = ref_weak_vals
+    else:
+        ref_strict_vals = np.asarray(ref_strict(pos), dtype=float)
+    dev_weak = emp_weak - ref_weak_vals
+    dev_strict = emp_strict - ref_strict_vals
+    dtot = emp_total - ref_total
+    best_val, best_t, best_o = abs(dtot), math.inf, 1
+    for devs, orient in (
+        (np.abs(dev_weak), 1),
+        (np.abs(dev_strict), 1),
+        (np.abs(dtot - dev_strict), -1),
+        (np.abs(dtot - dev_weak), -1),
+    ):
+        i = int(np.argmax(devs)) if devs.size else 0
+        if devs.size and devs[i] > best_val:
+            best_val, best_t, best_o = float(devs[i]), float(pos[i]), orient
+    return best_val, best_t, best_o
+
+
+def _rows_reference(rows, n, ref):
+    """The batched sweep as first written: five full passes over (B, m)."""
+    rows = np.sort(np.array(rows, dtype=float), axis=1)
+    b, m = rows.shape
+    cum = np.arange(1, m + 1, dtype=float) / n
+    ref_vals = np.asarray(ref.line_mass(np.array([1.0]), rows), dtype=float)
+    dev_weak = cum[None, :] - ref_vals
+    dev_strict = dev_weak - 1.0 / n
+    dtot = m / n - ref.total_mass
+    out = np.abs(dev_weak).max(axis=1)
+    np.maximum(out, np.abs(dev_strict).max(axis=1), out=out)
+    np.maximum(out, np.abs(dtot - dev_weak).max(axis=1), out=out)
+    np.maximum(out, np.abs(dtot - dev_strict).max(axis=1), out=out)
+    np.maximum(out, abs(dtot), out=out)
+    return out
+
+
+def _sweep_args(ref):
+    """``_line_sup``'s reference arguments for ``ref`` on the real line, or
+    the zero measure for ``ref = None``."""
+    if ref is None:
+        return (lambda s: np.zeros(np.shape(s)), None, 0.0, None)
+    u = np.array([1.0])
+    atoms = ref.line_atoms(u)
+    strict = None if atoms is None else (lambda s: ref.line_mass(u, s, strict=True))
+    return (lambda s: ref.line_mass(u, s), strict, ref.total_mass, atoms)
+
+
+class TestSweepKernelExact:
+    """The sweep equals its first-written form bit for bit: value,
+    threshold and orientation, on continuous and tied positions, equal and
+    signed weights, and zero, uniform and atomic references."""
+
+    REFS = (
+        None,
+        reference_for(FixedCount(1), UNIFORM01),
+        reference_for(ShiftedPoisson(1.0), UNIFORM01),
+        reference_for(FixedCount(1), DiscretePoints([[0.1], [0.3], [0.5], [0.9]], [0.4, 0.3, 0.2, 0.1])),
+        reference_for(ShiftedPoisson(0.5), DiscretePoints([[0.3], [0.7]], [0.5, 0.5])),
+    )
+
+    def test_line_sup_matches_reference(self):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        for _ in range(130):
+            m = int(rng.integers(1, 301))
+            n = int(rng.integers(1, m + 1))
+            for tied in (False, True):
+                if tied:
+                    xs = rng.choice([0.1, 0.3, 0.5, 0.9], size=m)
+                else:
+                    xs = rng.uniform(-0.2, 1.2, size=m)
+                for signed in (False, True):
+                    ws = np.full(m, 1.0 / n)
+                    if signed:
+                        ws *= rng.choice([-1.0, 1.0], size=m)
+                    for ref in self.REFS:
+                        args = (xs.copy(), ws.copy(), *_sweep_args(ref))
+                        assert _line_sup(*args) == _line_sup_reference(*args)
+                        cases += 1
+        assert cases >= 2000
+
+    def test_public_entry_points_match_reference(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(100):
+            m = int(rng.integers(1, 301))
+            xs = rng.choice([0.1, 0.3, 0.5, 0.9, 0.95], size=m) if m % 2 else rng.uniform(size=m)
+            ws = rng.choice([-1.0, 1.0], size=m) / m
+            ref = self.REFS[int(rng.integers(1, len(self.REFS)))]
+            expected = _line_sup_reference(xs, ws, *_sweep_args(ref))[0]
+            assert halfline_sup_weighted(xs, ws, ref) == expected
+            s = Sample(xs[:, None], np.ones(m, dtype=np.int64))
+            val, t, o = _line_sup_reference(xs, np.full(m, 1.0 / m), *_sweep_args(ref))
+            res = sup_deviation(s, half_lines(), ref)
+            assert (res.value, res.argmax.threshold, res.argmax.orientation) == (val, t, o)
+
+    @pytest.mark.parametrize("m,b", [(50, 400), (200, 200), (10_000, 12)])
+    def test_rows_match_reference(self, m, b):
+        rng = np.random.default_rng(m)
+        for count, disp in (
+            (FixedCount(1), UNIFORM01),
+            (FixedCount(2), UniformBox([-2.5], [7.25])),
+            (FixedCount(1), DiagonalGaussian([0.3], [0.2])),
+        ):
+            ref = reference_for(count, disp)
+            n = m // count.k
+            rows = disp.sample(rng, b * m).reshape(b, m)
+            got = halfline_sup_rows(rows, n, ref)
+            assert got.tobytes() == _rows_reference(rows, n, ref).tobytes()
 
 
 class TestSignedSup:
