@@ -45,6 +45,7 @@ __all__ = [
     "count_moments",
     "sample_count",
     "sample_pattern",
+    "draw_flat",
     "draw_sample",
     "sample_sample",
 ]
@@ -584,18 +585,23 @@ class DiscretePoints(DisplacementLaw):
 
 
 def sample_pattern(count: CountLaw, disp: DisplacementLaw, rng: RngStream) -> PointPattern:
-    gen = rng.generator()
-    size = int(count.sample(gen, 1)[0])
-    return PointPattern(disp.sample(gen, size))
+    return PointPattern(draw_flat(1, count, disp, rng.generator())[0])
+
+
+def draw_flat(
+    n: int, count: CountLaw, disp: DisplacementLaw, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n independent patterns from a numpy generator as (points, sizes): all
+    n counts first, then all points in one draw."""
+    sizes = count.sample(gen, n)
+    return disp.sample(gen, int(sizes.sum())), sizes
 
 
 def draw_sample(
     n: int, count: CountLaw, disp: DisplacementLaw, gen: np.random.Generator
 ) -> Sample:
-    """n independent patterns from a numpy generator: all n counts first,
-    then all points in one draw."""
-    sizes = count.sample(gen, n)
-    return Sample(disp.sample(gen, int(sizes.sum())), sizes)
+    """``draw_flat`` as a ``Sample``."""
+    return Sample(*draw_flat(n, count, disp, gen))
 
 
 def sample_sample(

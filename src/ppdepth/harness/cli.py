@@ -21,6 +21,7 @@ import json
 import os
 import sys
 
+from ..branching import TreeCapError
 from .config import EXPERIMENT_KINDS, ConfigError, build_config, config_hash
 from .records import emit, write_rows_csv
 from .runners import run_experiment
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         output = run_experiment(config, threads=threads, out_dir=args.out)
-    except ConfigError as exc:
+    except TreeCapError as exc:
         print(f"ppdepth: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

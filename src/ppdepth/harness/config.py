@@ -15,6 +15,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..branching import true_laplace
+
 from ..functions import (
     Constant,
     EvalFunction,
@@ -48,11 +52,37 @@ class ConfigError(ValueError):
     pass
 
 
+def _kind_of(spec, what: str):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be a JSON object, not {spec!r}")
+    return spec.get("kind")
+
+
+def _int(value) -> int:
+    """int(value), refusing a value that int() would truncate or coerce."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(_int(v) for v in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _points(values) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(p) for p in values)
+
+
 def parse_count(spec: dict) -> CountLaw:
-    kind = spec.get("kind")
+    kind = _kind_of(spec, "count law")
     try:
         if kind == "fixed":
-            return FixedCount(int(spec["k"]))
+            return FixedCount(_int(spec["k"]))
         if kind == "shifted_poisson":
             return ShiftedPoisson(float(spec["lambda"]))
         if kind == "pmf":
@@ -63,13 +93,13 @@ def parse_count(spec: dict) -> CountLaw:
             return CoxMixture(
                 log_mean=float(spec["log_mean"]), log_sigma=float(spec["log_sigma"])
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid count law spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown count law kind {kind!r}")
 
 
 def parse_disp(spec: dict) -> DisplacementLaw:
-    kind = spec.get("kind")
+    kind = _kind_of(spec, "displacement law")
     try:
         if kind == "uniform":
             return UniformBox(spec["low"], spec["high"])
@@ -77,19 +107,19 @@ def parse_disp(spec: dict) -> DisplacementLaw:
             return DiagonalGaussian(spec["mean"], spec["std"])
         if kind == "discrete":
             return DiscretePoints(spec["points"], spec["weights"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid displacement law spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown displacement law kind {kind!r}")
 
 
 def parse_function(spec: dict) -> EvalFunction:
-    kind = spec.get("kind")
+    kind = _kind_of(spec, "function")
     try:
         if kind == "constant":
             return Constant(float(spec["value"]))
         if kind == "half_line":
             return HalfLineIndicator(
-                float(spec["threshold"]), int(spec.get("orientation", 1))
+                float(spec["threshold"]), _int(spec.get("orientation", 1))
             )
         if kind == "half_space":
             return HalfSpaceIndicator(spec["point"], spec["direction"])
@@ -97,18 +127,18 @@ def parse_function(spec: dict) -> EvalFunction:
             return Exponential(
                 float(spec["theta"]), tuple(spec.get("domain", (-1.0, 1.0)))
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid function spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown function kind {kind!r}")
 
 
 def parse_class(spec: dict) -> FunctionClass:
-    kind = spec.get("kind")
+    kind = _kind_of(spec, "class")
     try:
         if kind == "half_lines":
             return half_lines()
         if kind == "half_spaces":
-            return half_spaces(int(spec.get("dim", 1)))
+            return half_spaces(_int(spec.get("dim", 1)))
         if kind == "exponentials":
             return exponentials(
                 float(spec.get("a", -1.0)),
@@ -117,10 +147,10 @@ def parse_class(spec: dict) -> FunctionClass:
             )
         if kind == "finite_list":
             members = [parse_function(f) for f in spec["functions"]]
-            return finite_list(members, int(spec.get("vc_dim", 1)))
+            return finite_list(members, _int(spec.get("vc_dim", 1)))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid class spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown class kind {kind!r}")
 
@@ -161,16 +191,99 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} needs a nonempty n_grid")
         if any(n < 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be >= 1")
+        if self.function_class is None and self.kind in ("ulln", "clt", "bound", "diag"):
+            raise ConfigError(f"{self.kind} needs a function_class")
         if self.kind == "bound" and not self.epsilon_grid:
             raise ConfigError("bound experiments need an epsilon_grid")
         if not all(math.isfinite(e) and e > 0 for e in self.epsilon_grid):
             raise ConfigError("epsilon_grid entries must be finite and > 0")
-        if self.kind == "clt" and self.gt_draws < 2:
-            raise ConfigError("clt experiments need gt_draws >= 2")
-        if self.kind == "brw" and not self.j_grid:
-            raise ConfigError("brw experiments need a j_grid")
+        if not all(math.isfinite(a) and a > 0 for a in (self.alpha, self.beta)):
+            raise ConfigError("alpha and beta must be finite and > 0")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        if self.kind == "clt":
+            self._check_clt()
+        elif self.kind == "depth":
+            self._check_depth()
+        elif self.kind == "brw":
+            self._check_brw()
+        elif self.kind == "diag" and (
+            self.disp.dim != 1 or self.function_class.kind != "half_lines"
+        ):
+            raise ConfigError("diag experiments use half-lines on the real line")
+        elif self.kind == "simulate" and self.target not in ("sample", "tree"):
+            raise ConfigError(f"unknown simulate target {self.target!r}")
+
+    def _check_clt(self):
+        cls = self.function_class
+        if cls.kind != "finite_list" or len(cls.members) < 2:
+            raise ConfigError("clt experiments need a finite_list class with >= 2 functions")
+        if self.replicates < 100:
+            raise ConfigError("clt experiments need at least 100 replicates")
+        if self.gt_draws < 2:
+            raise ConfigError("clt experiments need gt_draws >= 2")
+
+    def _check_depth(self):
+        d = self.disp.dim
+        if d > 2:
+            raise ConfigError("depth experiments cover dimensions 1 and 2")
+        if not self.eval_points:
+            raise ConfigError("depth experiments need eval_points")
+        if not all(len(p) == d and all(map(math.isfinite, p)) for p in self.eval_points):
+            raise ConfigError(f"eval_points must be finite {d}-vectors, like disp")
+        if self.depth_grid < 1:
+            raise ConfigError("depth_grid must be >= 1")
+        box = self.depth_box
+        if box is None:
+            return
+        if len(box) != 2 or any(len(corner) != d for corner in box):
+            raise ConfigError(f"depth_box must be [low, high], two {d}-vectors")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in zip(*box)):
+            raise ConfigError("depth_box needs finite low < high in every coordinate")
+
+    def _check_brw(self):
+        if not self.j_grid:
+            raise ConfigError("brw experiments need a j_grid")
+        if any(j < 0 for j in self.j_grid):
+            raise ConfigError("j_grid entries must be >= 0")
+        if self.disp.dim != 1:
+            raise ConfigError("brw experiments need one-dimensional displacements")
+        if self.count.moments().mean <= 1.0:
+            raise ConfigError("the fluctuation study needs a supercritical count law")
+        for theta in self.theta_grid:
+            try:
+                with np.errstate(over="ignore"):
+                    true_laplace(self.count, self.disp, theta)
+            except (OverflowError, ValueError) as exc:
+                raise ConfigError(
+                    f"theta_grid entry {theta}: the Laplace transform is not finite"
+                ) from exc
+
+
+def _box(values):
+    return None if values is None else _points(values)
+
+
+# JSON key -> (ExperimentConfig field, converter, default)
+_FIELDS = {
+    "n_grid": ("n_grid", _ints, ()),
+    "replicates": ("replicates", _int, 1),
+    "seed": ("seed", _int, 0),
+    "threads": ("threads", _int, 1),
+    "epsilon_grid": ("epsilon_grid", _floats, ()),
+    "theta_grid": ("theta_grid", _floats, ()),
+    "j_grid": ("j_grid", _ints, ()),
+    "alpha": ("alpha", float, 1.01),
+    "beta": ("beta", float, 1.01),
+    "eval_points": ("eval_points", _points, ()),
+    "depth_box": ("depth_box", _box, None),
+    "depth_grid": ("depth_grid", _int, 16),
+    "gt_draws": ("gt_draws", _int, 1_000_000),
+    "fluct_theta": ("fluct_theta", float, 1.0),
+    "target": ("target", str, "sample"),
+    "generations": ("generations", _int, 6),
+    "format": ("out_format", str, "csv"),
+}
 
 
 def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
@@ -189,40 +302,13 @@ def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
     except KeyError as exc:
         raise ConfigError(f"config is missing the {exc.args[0]!r} section") from exc
     cls = parse_class(raw["function_class"]) if "function_class" in raw else None
-    if effective_kind in ("ulln", "clt", "bound", "diag") and cls is None:
-        raise ConfigError(f"{effective_kind} needs a function_class")
-    box = raw.get("depth_box")
-    if box is not None:
-        box = (tuple(box[0]), tuple(box[1]))
-    try:
-        return ExperimentConfig(
-            kind=effective_kind,
-            count=count,
-            disp=disp,
-            function_class=cls,
-            n_grid=tuple(int(n) for n in raw.get("n_grid", ())),
-            replicates=int(raw.get("replicates", 1)),
-            seed=int(raw.get("seed", 0)),
-            threads=int(raw.get("threads", 1)),
-            epsilon_grid=tuple(float(e) for e in raw.get("epsilon_grid", ())),
-            theta_grid=tuple(float(t) for t in raw.get("theta_grid", ())),
-            j_grid=tuple(int(j) for j in raw.get("j_grid", ())),
-            alpha=float(raw.get("alpha", 1.01)),
-            beta=float(raw.get("beta", 1.01)),
-            eval_points=tuple(tuple(map(float, p)) for p in raw.get("eval_points", ())),
-            depth_box=box,
-            depth_grid=int(raw.get("depth_grid", 16)),
-            gt_draws=int(raw.get("gt_draws", 1_000_000)),
-            fluct_theta=float(raw.get("fluct_theta", 1.0)),
-            target=str(raw.get("target", "sample")),
-            generations=int(raw.get("generations", 6)),
-            out_format=str(raw.get("format", "csv")),
-            raw=raw,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    values = {}
+    for key, (name, convert, default) in _FIELDS.items():
+        try:
+            values[name] = convert(raw.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed {key} {raw[key]!r}: {exc}") from exc
+    return ExperimentConfig(effective_kind, count, disp, cls, raw=raw, **values)
 
 
 def load_config(path, kind: str | None = None) -> ExperimentConfig:

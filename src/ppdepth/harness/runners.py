@@ -2,21 +2,30 @@
 
 Each replicate owns a counter-based stream derived from the master seed and
 its index, and results are folded in replicate order, so outputs are
-byte-identical for any worker count.  Workers are plain module-level
-functions over picklable argument tuples; replicate ranges are split into
-blocks purely for scheduling.
+byte-identical for any worker count.  ``_over_replicates`` splits the
+replicates into blocks purely for scheduling and runs one module-level block
+function per block.  Configs arrive validated, so runners hold study logic
+only.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from ..bounds import DeviationBoundParams, chernoff_tail, deviation_bound
+from ..bounds import (
+    DeviationBound,
+    DeviationBoundParams,
+    TailBound,
+    chernoff_tail,
+    deviation_bound,
+)
 from ..branching import cumulative_estimates, exact_sum, grow_tree, true_laplace
 from ..depth import deepest_point, depth_sup_deviation
 from ..functions import Exponential, half_spaces
@@ -26,6 +35,7 @@ from ..generators import (
     FixedCount,
     RngStream,
     UniformBox,
+    draw_flat,
     draw_sample,
 )
 from ..measure import (
@@ -36,7 +46,7 @@ from ..measure import (
     sup_deviation,
 )
 from ..patterns import save_sample
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .records import ResultRecord
 
 __all__ = [
@@ -60,17 +70,31 @@ class RunOutput:
     tables: dict = field(default_factory=dict)  # name -> (rows, columns)
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _run_block(args):
+    block, shared, lo, hi = args
+    return block(shared, lo, hi)
+
+
+def _join(parts):
+    """Join block outputs in replicate order, component by component."""
+    if isinstance(parts[0], tuple):
+        return tuple(_join(list(c)) for c in zip(*parts))
+    if isinstance(parts[0], list):
+        return [entry for part in parts for entry in part]
+    return np.concatenate(parts)
+
+
+def _over_replicates(block, shared, config: ExperimentConfig, threads: int | None):
+    """``block(shared, lo, hi)`` over the config's replicates, on ``threads``
+    workers (default: the config's), joined in replicate order."""
+    threads = threads or config.threads
+    total = config.replicates
+    per = max(1, min(512, math.ceil(total / max(1, threads * 4))))
+    args = [(block, shared, lo, min(lo + per, total)) for lo in range(0, total, per)]
+    if threads <= 1 or len(args) <= 1:
+        return _join([_run_block(a) for a in args])
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _blocks(total: int, threads: int, max_block: int = 512):
-    per = max(1, min(max_block, math.ceil(total / max(1, threads * 4))))
-    return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
+        return _join(list(pool.map(_run_block, args)))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -89,13 +113,57 @@ def _loglog_slope(ns: np.ndarray, means: np.ndarray) -> tuple[float, float]:
     return float(slope), se
 
 
+class _Exceedance(NamedTuple):
+    epsilon: float
+    precondition_ok: bool
+    tail_sn: TailBound
+    tail_sn2: TailBound
+    bound: DeviationBound
+    freq: float
+    se: float
+    violated: bool
+
+
+def _frequency(values: np.ndarray, threshold: float) -> tuple[float, float]:
+    """Share of ``values`` at or above ``threshold`` and its binomial s.e."""
+    freq = float(np.count_nonzero(values >= threshold) / values.size)
+    return freq, math.sqrt(freq * (1.0 - freq) / values.size)
+
+
+def _precondition_ok(config: ExperimentConfig, n: int, eps: float) -> bool:
+    """The tail bound's n >= 8 E[L^2] / eps^2 precondition."""
+    return n >= 8.0 * config.count.moments().second_moment / eps**2
+
+
+def _exceedances(
+    config: ExperimentConfig, n: int, devs: np.ndarray, v: int
+) -> list[_Exceedance]:
+    """Per epsilon, the exceedance frequency of ``devs`` against the
+    closed-form bound; a violation is a frequency above the clamped bound by
+    more than 3 s.e. where the precondition holds."""
+    if not config.epsilon_grid:
+        return []
+    tail_sn = chernoff_tail(config.count, config.alpha, n, squared=False)
+    tail_sn2 = chernoff_tail(config.count, config.beta, n, squared=True)
+    rows = []
+    for eps in config.epsilon_grid:
+        pre_ok = _precondition_ok(config, n, eps)
+        bound = deviation_bound(DeviationBoundParams(
+            eps, n, config.alpha, config.beta, v, tail_sn.value, tail_sn2.value, pre_ok
+        ))
+        freq, se = _frequency(devs, eps)
+        violated = pre_ok and freq > bound.clamped + 3.0 * se
+        rows.append(_Exceedance(eps, pre_ok, tail_sn, tail_sn2, bound, freq, se, violated))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Uniform deviation blocks (shared by the ulln and bound experiments)
 # ---------------------------------------------------------------------------
 
 
-def _deviation_block(args) -> np.ndarray:
-    count, disp, cls, ref, n, seed, tag, lo, hi = args
+def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
+    count, disp, cls, ref, n, seed, tag = shared
     fixed_1d = (
         isinstance(count, FixedCount)
         and disp.dim == 1
@@ -113,7 +181,7 @@ def _deviation_block(args) -> np.ndarray:
             b = min(chunk, hi - done)
             for i in range(b):
                 gen = RngStream(seed).child(tag, n, done + i).generator()
-                buf[i] = disp.sample(gen, m)[:, 0]
+                buf[i] = draw_flat(n, count, disp, gen)[0][:, 0]
             out[done - lo : done - lo + b] = halfline_sup_rows(buf[:b], n, ref)
             done += b
         return out
@@ -123,15 +191,10 @@ def _deviation_block(args) -> np.ndarray:
     return out
 
 
-def _deviations_for(
-    config: ExperimentConfig, n: int, tag: str, threads: int
-) -> np.ndarray:
+def _deviations_for(config: ExperimentConfig, n: int, tag: str, threads: int | None) -> np.ndarray:
     ref = reference_for(config.count, config.disp)
-    args = [
-        (config.count, config.disp, config.function_class, ref, n, config.seed, tag, lo, hi)
-        for lo, hi in _blocks(config.replicates, threads)
-    ]
-    return np.concatenate(_parallel_map(_deviation_block, args, threads))
+    shared = (config.count, config.disp, config.function_class, ref, n, config.seed, tag)
+    return _over_replicates(_deviation_block, shared, config, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +203,16 @@ def _deviations_for(
 
 
 def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
     records: list[ResultRecord] = []
     means = []
     for n in config.n_grid:
         devs = _deviations_for(config, n, "ulln", threads)
+        params = (("n", n),)
         for r, v in enumerate(devs):
-            records.append(ResultRecord("sup_deviation", float(v), r, (("n", n),)))
+            records.append(ResultRecord("sup_deviation", float(v), r, params))
         mean, se = _mean_se(devs)
-        records.append(ResultRecord("mean_deviation", mean, None, (("n", n),), se))
-        records.append(
-            ResultRecord("median_deviation", float(np.median(devs)), None, (("n", n),))
-        )
+        records.append(ResultRecord("mean_deviation", mean, None, params, se))
+        records.append(ResultRecord("median_deviation", float(np.median(devs)), None, params))
         means.append(mean)
     if len(config.n_grid) >= 2 and config.replicates >= 2:
         slope, se = _loglog_slope(np.array(config.n_grid), np.array(means))
@@ -164,13 +225,13 @@ def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 
-def _clt_block(args) -> np.ndarray:
-    count, disp, fs, mus, n, seed, lo, hi = args
+def _clt_block(shared, lo: int, hi: int) -> np.ndarray:
+    count, disp, fs, mus, n, seed = shared
     out = np.empty((hi - lo, len(fs)))
     root_n = math.sqrt(n)
     for r in range(lo, hi):
         gen = RngStream(seed).child("clt", n, r).generator()
-        pts = disp.sample(gen, int(count.sample(gen, n).sum()))
+        pts, _ = draw_flat(n, count, disp, gen)
         for k, f in enumerate(fs):
             out[r - lo, k] = root_n * (f.evaluate(pts).sum() / n - mus[k])
     return out
@@ -186,8 +247,7 @@ def _single_pattern_matrix(
     block = max(1, 2_000_000 // 4)
     while done < draws:
         b = min(block, draws - done)
-        sizes = count.sample(gen, b)
-        pts = disp.sample(gen, int(sizes.sum()))
+        pts, sizes = draw_flat(b, count, disp, gen)
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         for k, f in enumerate(fs):
             out[done : done + b, k] = np.add.reduceat(f.evaluate(pts), offsets)
@@ -221,22 +281,12 @@ def _normal_ks_distance(values: np.ndarray) -> float:
 
 
 def run_clt(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
-    cls = config.function_class
-    if cls.kind != "finite_list" or len(cls.members) < 2:
-        raise ConfigError("clt experiments need a finite_list class with >= 2 functions")
-    if config.replicates < 100:
-        raise ConfigError("clt experiments need at least 100 replicates")
-    fs = cls.members
+    fs = config.function_class.members
     n = config.n_grid[0]
     ref = reference_for(config.count, config.disp)
     mus = tuple(ref.mass_of(f) for f in fs)
-
-    args = [
-        (config.count, config.disp, fs, mus, n, config.seed, lo, hi)
-        for lo, hi in _blocks(config.replicates, threads)
-    ]
-    z = np.vstack(_parallel_map(_clt_block, args, threads))
+    shared = (config.count, config.disp, fs, mus, n, config.seed)
+    z = _over_replicates(_clt_block, shared, config, threads)
 
     gt = _single_pattern_matrix(
         config.count, config.disp, fs, config.gt_draws, RngStream(config.seed).child("clt-gt")
@@ -249,22 +299,15 @@ def run_clt(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     for a in range(k):
         for b in range(a, k):
             params = (("n", n), ("f", a), ("g", b))
-            records.append(
-                ResultRecord("replicate_covariance", float(cov_rep[a, b]), None, params, float(se_rep[a, b]))
-            )
-            records.append(
-                ResultRecord("ground_truth_covariance", float(cov_gt[a, b]), None, params, float(se_gt[a, b]))
-            )
-            try:
-                exact = ref.pattern_covariance(fs[a], fs[b])
-                records.append(ResultRecord("pattern_covariance_exact", exact, None, params))
-            except ValueError:
-                pass
-            try:
-                marking = ref.marking_covariance(fs[a], fs[b])
-                records.append(ResultRecord("marking_covariance", marking, None, params))
-            except ValueError:
-                pass
+            for name, cov, se in (("replicate_covariance", cov_rep, se_rep),
+                                  ("ground_truth_covariance", cov_gt, se_gt)):
+                records.append(ResultRecord(name, float(cov[a, b]), None, params, float(se[a, b])))
+            for name, closed_form in (("pattern_covariance_exact", ref.pattern_covariance),
+                                      ("marking_covariance", ref.marking_covariance)):
+                try:
+                    records.append(ResultRecord(name, closed_form(fs[a], fs[b]), None, params))
+                except ValueError:
+                    pass
     for a in range(k):
         col = z[:, a]
         mean = col.mean()
@@ -288,59 +331,32 @@ def run_clt(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 
 def run_bound(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
     v = config.function_class.vc_dim
-    moments = config.count.moments()
     records: list[ResultRecord] = []
     table_rows: list[dict] = []
     violations = 0
-    r_total = config.replicates
     for n in config.n_grid:
         devs = _deviations_for(config, n, "bound", threads)
-        tail_sn = chernoff_tail(config.count, config.alpha, n, squared=False)
-        tail_sn2 = chernoff_tail(config.count, config.beta, n, squared=True)
-        for eps in config.epsilon_grid:
-            pre_ok = n >= 8.0 * moments.second_moment / eps**2
-            bound = deviation_bound(
-                DeviationBoundParams(
-                    eps, n, config.alpha, config.beta, v,
-                    tail_sn.value, tail_sn2.value, precondition_ok=pre_ok,
-                )
-            )
-            freq = float(np.count_nonzero(devs >= eps) / r_total)
-            se = math.sqrt(freq * (1.0 - freq) / r_total)
-            violated = pre_ok and freq > bound.clamped + 3.0 * se
-            if violated:
-                violations += 1
-            params = (("n", n), ("epsilon", eps))
-            records.append(ResultRecord("empirical_exceedance", freq, None, params, se))
-            records.append(ResultRecord("raw_bound", bound.raw, None, params))
-            records.append(ResultRecord("clamped_bound", bound.clamped, None, params))
-            records.append(ResultRecord("tail_sn", tail_sn.value, None, params))
-            records.append(ResultRecord("tail_sn2", tail_sn2.value, None, params))
-            records.append(ResultRecord("precondition_ok", float(pre_ok), None, params))
-            records.append(ResultRecord("violation", float(violated), None, params))
-            table_rows.append(
-                {
-                    "n": n,
-                    "epsilon": eps,
-                    "alpha": config.alpha,
-                    "beta": config.beta,
-                    "v": v,
-                    "raw_bound": bound.raw,
-                    "clamped_bound": bound.clamped,
-                    "tail_sn": tail_sn.value,
-                    "tail_sn2": tail_sn2.value,
-                    "chernoff_used": tail_sn.method,
-                }
-            )
-    tables = {
-        "bound_table": (
-            table_rows,
-            ["n", "epsilon", "alpha", "beta", "v", "raw_bound", "clamped_bound",
-             "tail_sn", "tail_sn2", "chernoff_used"],
-        )
-    }
+        for row in _exceedances(config, n, devs, v):
+            violations += row.violated
+            params = (("n", n), ("epsilon", row.epsilon))
+            for name, value, se in (
+                ("empirical_exceedance", row.freq, row.se),
+                ("raw_bound", row.bound.raw, None),
+                ("clamped_bound", row.bound.clamped, None),
+                ("tail_sn", row.tail_sn.value, None),
+                ("tail_sn2", row.tail_sn2.value, None),
+                ("precondition_ok", float(row.precondition_ok), None),
+                ("violation", float(row.violated), None),
+            ):
+                records.append(ResultRecord(name, value, None, params, se))
+            table_rows.append({
+                "n": n, "epsilon": row.epsilon, "alpha": config.alpha, "beta": config.beta,
+                "v": v, "raw_bound": row.bound.raw, "clamped_bound": row.bound.clamped,
+                "tail_sn": row.tail_sn.value, "tail_sn2": row.tail_sn2.value,
+                "chernoff_used": row.tail_sn.method,
+            })
+    tables = {"bound_table": (table_rows, list(table_rows[0]))}
     return RunOutput(records, ("n", "epsilon"), violations, tables)
 
 
@@ -349,8 +365,8 @@ def run_bound(config: ExperimentConfig, threads: int | None = None) -> RunOutput
 # ---------------------------------------------------------------------------
 
 
-def _depth_block(args):
-    count, disp, ref, n, seed, eval_points, box, grid, deepest_cap, lo, hi = args
+def _depth_block(shared, lo: int, hi: int):
+    count, disp, ref, n, seed, eval_points, box, grid, deepest_cap = shared
     cls = half_spaces(disp.dim)
     dev_rows = np.empty(hi - lo)
     sup_rows = np.empty(hi - lo)
@@ -367,12 +383,7 @@ def _depth_block(args):
 
 
 def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
     d = config.disp.dim
-    if d > 2:
-        raise ConfigError("depth experiments cover dimensions 1 and 2")
-    if not config.eval_points:
-        raise ConfigError("depth experiments need eval_points")
     ref = reference_for(config.count, config.disp)
     box = config.depth_box
     if box is None:
@@ -384,58 +395,34 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
     records: list[ResultRecord] = []
     violations = 0
     means = []
-    v = d + 1
-    moments = config.count.moments()
     deepest_cap = min(config.replicates, 8)
     for n in config.n_grid:
-        args = [
-            (config.count, config.disp, ref, n, config.seed, config.eval_points,
-             box, config.depth_grid, deepest_cap, lo, hi)
-            for lo, hi in _blocks(config.replicates, threads)
-        ]
-        results = _parallel_map(_depth_block, args, threads)
-        devs = np.concatenate([r[0] for r in results])
-        sups = np.concatenate([r[1] for r in results])
-        deepest = [entry for r in results for entry in r[2]]
+        shared = (config.count, config.disp, ref, n, config.seed, config.eval_points,
+                  box, config.depth_grid, deepest_cap)
+        devs, sups, deepest = _over_replicates(_depth_block, shared, config, threads)
+        params = (("n", n),)
         for r, (dv, sv) in enumerate(zip(devs, sups)):
-            params = (("n", n),)
             records.append(ResultRecord("depth_sup_deviation", float(dv), r, params))
             records.append(ResultRecord("halfspace_sup_deviation", float(sv), r, params))
             if dv > sv + 1e-9:
                 violations += 1
         mean, se = _mean_se(devs)
         means.append(mean)
-        records.append(ResultRecord("mean_depth_deviation", mean, None, (("n", n),), se))
+        records.append(ResultRecord("mean_depth_deviation", mean, None, params, se))
         dists = []
         for r, x_star, d_star in deepest:
             dist = float(np.linalg.norm(np.asarray(x_star) - np.asarray(ref_median)))
             dists.append(dist)
-            records.append(
-                ResultRecord("deepest_point_distance", dist, r, (("n", n),))
-            )
-            records.append(ResultRecord("deepest_point_depth", d_star, r, (("n", n),)))
+            records.append(ResultRecord("deepest_point_distance", dist, r, params))
+            records.append(ResultRecord("deepest_point_depth", d_star, r, params))
         if dists:
             mean_dist, se_dist = _mean_se(np.array(dists))
-            records.append(
-                ResultRecord("mean_deepest_distance", mean_dist, None, (("n", n),), se_dist)
-            )
-        for eps in config.epsilon_grid:
-            pre_ok = n >= 8.0 * moments.second_moment / eps**2
-            tail_sn = chernoff_tail(config.count, config.alpha, n, squared=False)
-            tail_sn2 = chernoff_tail(config.count, config.beta, n, squared=True)
-            bound = deviation_bound(
-                DeviationBoundParams(
-                    eps, n, config.alpha, config.beta, v,
-                    tail_sn.value, tail_sn2.value, precondition_ok=pre_ok,
-                )
-            )
-            freq = float(np.count_nonzero(devs >= eps) / config.replicates)
-            se = math.sqrt(freq * (1.0 - freq) / config.replicates)
-            params = (("n", n), ("epsilon", eps))
-            records.append(ResultRecord("empirical_exceedance", freq, None, params, se))
-            records.append(ResultRecord("clamped_bound", bound.clamped, None, params))
-            if pre_ok and freq > bound.clamped + 3.0 * se:
-                violations += 1
+            records.append(ResultRecord("mean_deepest_distance", mean_dist, None, params, se_dist))
+        for row in _exceedances(config, n, devs, d + 1):
+            violations += row.violated
+            params = (("n", n), ("epsilon", row.epsilon))
+            records.append(ResultRecord("empirical_exceedance", row.freq, None, params, row.se))
+            records.append(ResultRecord("clamped_bound", row.bound.clamped, None, params))
     for i, coord in enumerate(np.asarray(ref_median)):
         records.append(ResultRecord(f"reference_median_x{i + 1}", float(coord)))
     if len(config.n_grid) >= 2 and min(means) > 0:
@@ -449,8 +436,8 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
 # ---------------------------------------------------------------------------
 
 
-def _brw_block(args):
-    count, disp, j_grid, thetas, fluct_theta, j_star, m_true, mu_f, seed, lo, hi = args
+def _brw_block(shared, lo: int, hi: int):
+    count, disp, j_grid, thetas, fluct_theta, j_star, m_true, mu_f, seed = shared
     generations = j_star + 3
     n_j, n_t = len(j_grid), len(thetas)
     err_hat = np.empty((hi - lo, n_j, n_t))
@@ -484,11 +471,6 @@ def _brw_block(args):
 
 
 def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
-    if config.disp.dim != 1:
-        raise ConfigError("brw experiments need one-dimensional displacements")
-    if config.count.moments().mean <= 1.0:
-        raise ConfigError("the fluctuation study needs a supercritical count law")
     thetas = config.theta_grid or (0.0,)
     j_grid = config.j_grid
     j_star = max(j_grid)
@@ -497,16 +479,9 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     f = Exponential(config.fluct_theta, _exp_domain(config.disp))
     mu_f = ref.mass_of(f)
     gamma_f = ref.pattern_covariance(f, f)
-
-    args = [
-        (config.count, config.disp, j_grid, thetas, config.fluct_theta,
-         j_star, m_true, mu_f, config.seed, lo, hi)
-        for lo, hi in _blocks(config.replicates, threads)
-    ]
-    results = _parallel_map(_brw_block, args, threads)
-    err_hat = np.concatenate([r[0] for r in results])
-    err_tilde = np.concatenate([r[1] for r in results])
-    w_pair = np.vstack([r[2] for r in results])
+    shared = (config.count, config.disp, j_grid, thetas, config.fluct_theta,
+              j_star, m_true, mu_f, config.seed)
+    err_hat, err_tilde, w_pair = _over_replicates(_brw_block, shared, config, threads)
 
     records: list[ResultRecord] = []
     violations = 0
@@ -518,23 +493,16 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
             mean, se = _mean_se(err_tilde[:, a_i, b_i])
             records.append(ResultRecord("mean_abs_error_cumulative", mean, None, params, se))
     r_total = w_pair.shape[0]
+    params = (("j", j_star + 1), ("theta", config.fluct_theta))
     var_w = float(w_pair[:, 0].var(ddof=1))
-    records.append(
-        ResultRecord("fluctuation_variance", var_w, None,
-                     (("j", j_star + 1), ("theta", config.fluct_theta)))
-    )
-    records.append(
-        ResultRecord("fluctuation_variance_target", gamma_f, None,
-                     (("j", j_star + 1), ("theta", config.fluct_theta)))
-    )
+    records.append(ResultRecord("fluctuation_variance", var_w, None, params))
+    records.append(ResultRecord("fluctuation_variance_target", gamma_f, None, params))
     if w_pair[:, 0].std() == 0.0 or w_pair[:, 1].std() == 0.0:
         corr = 0.0  # degenerate fluctuations (deterministic tree)
     else:
         corr = float(np.corrcoef(w_pair[:, 0], w_pair[:, 1])[0, 1])
     records.append(
-        ResultRecord("fluctuation_pair_correlation", corr, None,
-                     (("j", j_star + 1), ("theta", config.fluct_theta)),
-                     1.0 / math.sqrt(r_total))
+        ResultRecord("fluctuation_pair_correlation", corr, None, params, 1.0 / math.sqrt(r_total))
     )
     if abs(corr) > 3.0 / math.sqrt(r_total):
         violations += 1
@@ -556,14 +524,13 @@ def _exp_domain(disp: DisplacementLaw) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _diag_block(args):
-    count, disp, ref, n, seed, lo, hi = args
+def _diag_block(shared, lo: int, hi: int):
+    count, disp, ref, n, seed = shared
     devs = np.empty(hi - lo)
     syms = np.empty(hi - lo)
     for r in range(lo, hi):
         gen = RngStream(seed).child("diag", n, r).generator()
-        sizes = count.sample(gen, n)
-        pts = disp.sample(gen, int(sizes.sum()))
+        pts, sizes = draw_flat(n, count, disp, gen)
         weights = np.full(pts.shape[0], 1.0 / n)
         devs[r - lo] = halfline_sup_weighted(pts[:, 0], weights, ref)
         signs = gen.choice(np.array([-1.0, 1.0]), size=n)
@@ -574,20 +541,11 @@ def _diag_block(args):
 
 
 def run_diag(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
-    threads = threads or config.threads
-    if config.disp.dim != 1 or config.function_class.kind not in ("half_lines",):
-        raise ConfigError("diag experiments use half-lines on the real line")
     n = config.n_grid[0]
     eps = config.epsilon_grid[0] if config.epsilon_grid else 0.5
     ref = reference_for(config.count, config.disp)
-    args = [
-        (config.count, config.disp, ref, n, config.seed, lo, hi)
-        for lo, hi in _blocks(config.replicates, threads)
-    ]
-    results = _parallel_map(_diag_block, args, threads)
-    devs = np.concatenate([r[0] for r in results])
-    syms = np.concatenate([r[1] for r in results])
-    r_total = devs.size
+    shared = (config.count, config.disp, ref, n, config.seed)
+    devs, syms = _over_replicates(_diag_block, shared, config, threads)
 
     records: list[ResultRecord] = []
     violations = 0
@@ -602,12 +560,9 @@ def run_diag(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     if not exp_ok:
         violations += 1
 
-    moments = config.count.moments()
-    pre_ok = n >= 8.0 * moments.second_moment / eps**2
-    lhs_freq = float(np.count_nonzero(devs >= eps) / r_total)
-    rhs_freq = float(np.count_nonzero(syms >= eps / 4.0) / r_total)
-    lhs_fse = math.sqrt(lhs_freq * (1.0 - lhs_freq) / r_total)
-    rhs_fse = math.sqrt(rhs_freq * (1.0 - rhs_freq) / r_total)
+    pre_ok = _precondition_ok(config, n, eps)
+    lhs_freq, lhs_fse = _frequency(devs, eps)
+    rhs_freq, rhs_fse = _frequency(syms, eps / 4.0)
     records.append(ResultRecord("probability_lhs", lhs_freq, None, params, lhs_fse))
     records.append(
         ResultRecord("probability_rhs", 4.0 * rhs_freq, None, params, 4.0 * rhs_fse)
@@ -628,9 +583,7 @@ def run_diag(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 
 def run_simulate(config: ExperimentConfig, out_dir, threads: int | None = None) -> RunOutput:
-    import os
-
-    from ..branching import dump_tree
+    from ..branching import dump_tree  # read per call: benchmarks/tracing.py patches it
 
     rng = RngStream(config.seed).child("simulate")
     records: list[ResultRecord] = []
@@ -641,30 +594,27 @@ def run_simulate(config: ExperimentConfig, out_dir, threads: int | None = None) 
         save_sample(sample, path)
         records.append(ResultRecord("patterns_written", float(sample.n)))
         records.append(ResultRecord("points_written", float(sample.s_n)))
-    elif config.target == "tree":
+    else:
         tree = grow_tree(config.count, config.disp, config.generations, rng)
         path = os.path.join(out_dir, "tree.ndjson")
         dump_tree(tree, path)
         records.append(ResultRecord("generations_written", float(tree.generations)))
         records.append(ResultRecord("vertices_written", float(sum(tree.gen_sizes()))))
-    else:
-        raise ConfigError(f"unknown simulate target {config.target!r}")
     return RunOutput(records, ())
 
 
+
+_RUNNERS = {
+    "ulln": run_ulln,
+    "clt": run_clt,
+    "bound": run_bound,
+    "depth": run_depth,
+    "brw": run_brw,
+    "diag": run_diag,
+}
+
+
 def run_experiment(config: ExperimentConfig, threads: int | None = None, out_dir=".") -> RunOutput:
-    if config.kind == "ulln":
-        return run_ulln(config, threads)
-    if config.kind == "clt":
-        return run_clt(config, threads)
-    if config.kind == "bound":
-        return run_bound(config, threads)
-    if config.kind == "depth":
-        return run_depth(config, threads)
-    if config.kind == "brw":
-        return run_brw(config, threads)
-    if config.kind == "diag":
-        return run_diag(config, threads)
     if config.kind == "simulate":
         return run_simulate(config, out_dir, threads)
-    raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    return _RUNNERS[config.kind](config, threads)

@@ -327,6 +327,9 @@ class TestCli:
 
     CLT_PAIR = {"kind": "finite_list", "functions": [
         {"kind": "constant", "value": 1.0}, {"kind": "half_line", "threshold": 0.5}]}
+    DEPTH_1D = {"eval_points": [[0.25], [0.5]], "epsilon_grid": [0.3], "depth_grid": 5}
+    BRW_GAUSSIAN = {"count": {"kind": "shifted_poisson", "lambda": 1.0},
+                    "disp": {"kind": "gaussian", "mean": [0.0], "std": [1.0]}, "j_grid": [2]}
 
     @pytest.mark.parametrize(
         "kind,overrides",
@@ -336,9 +339,23 @@ class TestCli:
             ("bound", {"epsilon_grid": [0.1, float("inf")]}),
             ("clt", {"gt_draws": 0, "function_class": CLT_PAIR, "replicates": 100}),
             ("ulln", {"count": {"kind": "shifted_poisson", "lambda": float("nan")}}),
+            ("bound", {"epsilon_grid": [0.1], "beta": float("nan")}),
+            ("bound", {"epsilon_grid": [0.1], "alpha": -1}),
+            ("depth", {**DEPTH_1D, "depth_box": [[1.0], [0.0]]}),
+            ("depth", {**DEPTH_1D, "depth_box": [0.0, 1.0]}),
+            ("depth", {**DEPTH_1D, "depth_grid": 0}),
+            ("depth", {**DEPTH_1D, "eval_points": [[0.5, 0.5]]}),
+            ("ulln", {"count": [1]}),
+            ("ulln", {"n_grid": [10.7]}),
+            ("ulln", {"replicates": 10.7}),
+            ("brw", {**BRW_GAUSSIAN, "theta_grid": [800]}),
+            ("brw", {"count": {"kind": "fixed", "k": 100}, "j_grid": [40]}),
         ],
         ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
-             "ulln-nan-rate"],
+             "ulln-nan-rate", "bound-beta-nan", "bound-alpha-negative", "depth-box-inverted",
+             "depth-box-not-pair", "depth-grid-zero", "depth-eval-dim", "ulln-count-list",
+             "ulln-n-grid-fraction", "ulln-replicates-fraction", "brw-theta-overflow",
+             "brw-tree-cap"],
     )
     def test_bad_values_exit_one_with_one_line(self, tmp_path, capsys, kind, overrides):
         """Malformed values end in exit 1 and a one-line message, and no
@@ -350,6 +367,16 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("ppdepth: ")
         assert not (out_dir / f"{kind}.csv").exists()
+
+    def test_refused_config_creates_no_out_dir(self, tmp_path, capsys):
+        """A clt config with too few replicates is refused while the config is
+        built, before the output directory is created."""
+        cfg = self._write(tmp_path, base_config(
+            kind="clt", function_class=self.CLT_PAIR, replicates=10))
+        out_dir = tmp_path / "out"
+        assert cli_main(["clt", "--config", cfg, "--out", str(out_dir)]) == 1
+        assert "100 replicates" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli_main(["ulln", "--config", str(tmp_path / "nope.json")]) == 3
