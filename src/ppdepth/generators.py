@@ -337,8 +337,17 @@ class DisplacementLaw:
         raise NotImplementedError
 
     def projection_cdf(self, u: np.ndarray, s, strict: bool = False):
-        """P(<X, u> <= s), or P(<X, u> < s) when ``strict``; vectorized in s."""
+        """P(<X, u> <= s), or P(<X, u> < s) when ``strict``; vectorized in s.
+
+        ``u`` may also be a (k, d) block of directions; ``s`` then has a
+        leading axis of length k, and row i of the result equals the call
+        with ``u[i]`` and ``s[i]``.
+        """
         raise NotImplementedError
+
+    def _rows_cdf(self, u: np.ndarray, s: np.ndarray, strict: bool) -> np.ndarray:
+        """A (k, d) block of directions, one row at a time."""
+        return np.array([self.projection_cdf(ui, si, strict) for ui, si in zip(u, s)])
 
     def mgf(self, theta: float) -> float:
         """E[e^{theta X}] for one-dimensional laws."""
@@ -444,6 +453,8 @@ class UniformBox(DisplacementLaw):
     def projection_cdf(self, u, s, strict=False):
         u = np.asarray(u, dtype=float)
         s = np.asarray(s, dtype=float)
+        if u.ndim == 2:
+            return self._block_cdf(u, s, strict)
         lo = u * self.low
         hi = u * self.high
         if self.dim == 1 and u[0] != 0.0:
@@ -489,6 +500,43 @@ class UniformBox(DisplacementLaw):
         cdf = np.where(t >= total, 1.0, cdf)
         return cdf if cdf.ndim else float(cdf)
 
+    def _block_cdf(self, u, s, strict):
+        """``projection_cdf`` for a (k, d) block: the per-row rule above with
+        the same float operations, vectorized over rows for d <= 2.  The
+        inclusion-exclusion of d >= 3 sorts per-row widths, so it goes one
+        row at a time."""
+        if self.dim >= 3:
+            return self._rows_cdf(u, s, strict)
+        col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
+        lo = u * self.low
+        hi = u * self.high
+        low_end, high_end = np.minimum(lo, hi), np.maximum(lo, hi)
+        base = low_end.sum(axis=1)
+        widths = np.abs(hi - lo)
+        tiny = widths <= 1e-7 * widths.max(axis=1, keepdims=True)
+        base += np.where(tiny, widths, 0.0).sum(axis=1) / 2.0
+        kept = np.where(tiny, 0.0, widths)
+        w1, w2 = kept.max(axis=1), kept.min(axis=1)
+        m = self.dim - tiny.sum(axis=1)
+        if self.dim == 1:
+            # a nonzero direction takes the scalar call's (s - a) / (b - a)
+            base = np.where(m == 1, low_end[:, 0], base)
+            w1 = (high_end - low_end)[:, 0]
+        t = s - col(base)
+        out = np.empty(t.shape)
+        step = m == 0
+        out[step] = ((t[step] > 0) if strict else (t[step] >= 0)).astype(float)
+        one = m == 1
+        out[one] = np.clip(t[one] / col(w1[one]), 0.0, 1.0)
+        two = m == 2
+        t, w1, w2 = t[two], col(w1[two]), col(w2[two])
+        rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
+        mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
+        fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
+        cdf = np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall))
+        out[two] = np.clip(cdf, 0.0, 1.0)
+        return out
+
     def mgf(self, theta):
         if self.dim != 1:
             raise ValueError("mgf is defined for one-dimensional laws")
@@ -523,12 +571,28 @@ class DiagonalGaussian(DisplacementLaw):
     def projection_cdf(self, u, s, strict=False):
         u = np.asarray(u, dtype=float)
         s = np.asarray(s, dtype=float)
+        if u.ndim == 2:
+            return self._block_cdf(u, s, strict)
         mu = float(u @ self.mean)
         sd = float(np.sqrt(((u * self.std) ** 2).sum()))
         if sd == 0.0:
             return ((s > mu) if strict else (s >= mu)).astype(float)
         out = ndtr((s - mu) / sd)
         return out if out.ndim else float(out)
+
+    def _block_cdf(self, u, s, strict):
+        """``projection_cdf`` for a (k, d) block of directions.  ``vecdot``
+        takes one dot product per row, the same as ``u @ mean`` above."""
+        col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
+        mu = np.vecdot(u, self.mean)
+        sd = np.sqrt(((u * self.std) ** 2).sum(axis=1))
+        out = np.empty(s.shape)
+        step = sd == 0.0
+        s_step, mu_step = s[step], col(mu[step])
+        out[step] = ((s_step > mu_step) if strict else (s_step >= mu_step)).astype(float)
+        smooth = ~step
+        out[smooth] = ndtr((s[smooth] - col(mu[smooth])) / col(sd[smooth]))
+        return out
 
     def mgf(self, theta):
         if self.dim != 1:
@@ -561,13 +625,14 @@ class DiscretePoints(DisplacementLaw):
     def projection_cdf(self, u, s, strict=False):
         u = np.asarray(u, dtype=float)
         s = np.asarray(s, dtype=float)
+        if u.ndim == 2:
+            return self._rows_cdf(u, s, strict)
+        # cumulative weights in projected order: the mass below s is one
+        # prefix sum, the same float for any shape of s
         proj = self.points @ u
-        if strict:
-            mask = proj[None, ...] < np.asarray(s)[..., None]
-        else:
-            mask = proj[None, ...] <= np.asarray(s)[..., None]
-        out = mask @ self.weights
-        out = out.reshape(np.shape(s))
+        order = np.argsort(proj, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(self.weights[order])])
+        out = cum[np.searchsorted(proj[order], s, side="left" if strict else "right")]
         return out if out.ndim else float(out)
 
     def mgf(self, theta):

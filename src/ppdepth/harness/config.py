@@ -258,6 +258,28 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"theta_grid entry {theta}: the Laplace transform is not finite"
                 ) from exc
+        a, b = exp_domain(self.disp)
+        try:
+            finite = all(math.isfinite(math.exp(self.fluct_theta * x)) for x in (a, b))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"fluct_theta {self.fluct_theta}: exp(theta x) is not finite on the "
+                f"step domain [{a}, {b}]"
+            )
+
+
+def exp_domain(disp: DisplacementLaw) -> tuple[float, float]:
+    """The domain [a, b] of a brw run's fluctuation function exp(theta x):
+    the support of a bounded one-dimensional step law, else (-40, 40)."""
+    if isinstance(disp, UniformBox):
+        return float(disp.low[0]), float(disp.high[0])
+    atoms = disp.atoms()
+    if atoms is not None:
+        vals = atoms[0][:, 0]
+        return float(vals.min()), float(vals.max())
+    return (-40.0, 40.0)  # generous cap for unbounded one-dimensional laws
 
 
 def _box(values):

@@ -46,7 +46,7 @@ from ..measure import (
     sup_deviation,
 )
 from ..patterns import save_sample
-from .config import ExperimentConfig
+from .config import ExperimentConfig, exp_domain
 from .records import ResultRecord
 
 __all__ = [
@@ -476,7 +476,7 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     j_star = max(j_grid)
     m_true = tuple(true_laplace(config.count, config.disp, t) for t in thetas)
     ref = reference_for(config.count, config.disp)
-    f = Exponential(config.fluct_theta, _exp_domain(config.disp))
+    f = Exponential(config.fluct_theta, exp_domain(config.disp))
     mu_f = ref.mass_of(f)
     gamma_f = ref.pattern_covariance(f, f)
     shared = (config.count, config.disp, j_grid, thetas, config.fluct_theta,
@@ -507,16 +507,6 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     if abs(corr) > 3.0 / math.sqrt(r_total):
         violations += 1
     return RunOutput(records, ("j", "theta"), violations)
-
-
-def _exp_domain(disp: DisplacementLaw) -> tuple[float, float]:
-    if isinstance(disp, UniformBox):
-        return float(disp.low[0]), float(disp.high[0])
-    atoms = disp.atoms()
-    if atoms is not None:
-        vals = atoms[0][:, 0]
-        return float(vals.min()), float(vals.max())
-    return (-40.0, 40.0)  # generous cap for unbounded one-dimensional laws
 
 
 # ---------------------------------------------------------------------------

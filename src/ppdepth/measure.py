@@ -109,7 +109,9 @@ class ReferenceMeasure:
         raise NotImplementedError
 
     def line_mass(self, u: np.ndarray, s, strict: bool = False):
-        """Mass of {y : <y, u> <= s} (or < s when strict); vectorized in s."""
+        """Mass of {y : <y, u> <= s} (or < s when strict); vectorized in s.
+        An analytic reference also takes a (k, d) block of directions, as
+        ``DisplacementLaw.projection_cdf`` does."""
         raise NotImplementedError
 
     def line_atoms(self, u: np.ndarray) -> np.ndarray | None:
@@ -472,17 +474,73 @@ def _sphere_directions(dim: int, k: int) -> np.ndarray:
     return z / norms[:, None]
 
 
+def _atomless_direction_sups(
+    pts: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, dirs: np.ndarray
+) -> np.ndarray:
+    """``_ref_line_sup``'s value for every direction of ``dirs``, against an
+    atomless reference and the equal weights ``ws`` (1/n each).
+
+    Directions go in blocks of about 2^15 projected values: one batched
+    matrix-vector product (row i is ``pts @ dirs[i]``, the same BLAS call),
+    a row-wise sort and one reference-mass call per block.  A row without
+    ties takes ``_line_sup``'s weak and strict masses ``cum`` and
+    ``cum - ws``.  In a row with ties (pair-normal directions tie by
+    construction) ``_line_sup`` takes, per tie group, the cum at its end
+    and the cum before its start.  Here every point takes its own cum and
+    the cum before it: that adds only values between the two of its
+    group, which cannot move the extremes of the five candidates of
+    ``_sweep_sups``.  So every value is the float ``_ref_line_sup``
+    returns.
+    """
+    cum = np.cumsum(ws)
+    cum_before = np.concatenate([[0.0], cum[:-1]])
+    dtot = float(cum[-1]) - ref.total_mass
+    out = np.empty(len(dirs))
+    per = max(1, (1 << 15) // pts.shape[0])
+    for lo in range(0, len(dirs), per):
+        block = dirs[lo : lo + per]
+        proj = np.matmul(pts, block[:, :, None])[:, :, 0]
+        proj.sort(axis=1)
+        ref_vals = np.asarray(ref.line_mass(block, proj), dtype=float)
+        dev_weak = cum - ref_vals
+        dev_strict = (cum - ws) - ref_vals
+        tied = (proj[:, 1:] == proj[:, :-1]).any(axis=1)
+        dev_strict[tied] = cum_before - ref_vals[tied]
+        sups = _sweep_sups(
+            dev_weak.max(axis=1), dev_weak.min(axis=1),
+            dev_strict.max(axis=1), dev_strict.min(axis=1), dtot,
+        )
+        vals = out[lo : lo + per]
+        vals[:] = abs(dtot)
+        for sup in sups:
+            np.maximum(vals, sup, out=vals)
+    return out
+
+
 def _directional_sup(
     sample: Sample, ref: ReferenceMeasure, dirs: np.ndarray
 ) -> tuple[float, HalfSpaceIndicator]:
+    """The largest ``_ref_line_sup`` over the directions ``dirs`` (the first
+    direction that attains it) and its half-space.
+
+    Against an atomless reference all values come from
+    ``_atomless_direction_sups`` and only the maximizing direction is swept
+    again, for its threshold and orientation.  A reference with atoms (an
+    empirical reference or a discrete law) adds its projected atoms to each
+    direction's scan, so it keeps one ``_ref_line_sup`` per direction.
+    """
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
-    best = (-1.0, None, None, None)
-    for u in dirs:
+    if ref.line_atoms(dirs[0]) is None:
+        u = dirs[int(np.argmax(_atomless_direction_sups(pts, ws, ref, dirs)))]
         value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
-        if value > best[0]:
-            best = (value, u, t, orient)
-    value, u, t, orient = best
+    else:
+        best = (-1.0, None, None, None)
+        for u in dirs:
+            value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
+            if value > best[0]:
+                best = (value, u, t, orient)
+        value, u, t, orient = best
     direction = orient * u
     if not math.isfinite(t):
         # tail candidate: the half-space degenerates to R^d or the empty set

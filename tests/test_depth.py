@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ppdepth import (
     DiagonalGaussian,
+    DiscretePoints,
     EmpiricalReference,
     FixedCount,
     PointPattern,
+    RngStream,
     Sample,
+    ShiftedPoisson,
     UniformBox,
     batch_depth_queries,
     deepest_point,
@@ -20,9 +24,10 @@ from ppdepth import (
     half_lines,
     halfspace_mass,
     reference_for,
+    sample_sample,
     sup_deviation,
 )
-from ppdepth.depth import depth_rows_to_csv
+from ppdepth.depth import _smooth_depth_2d, depth_rows_to_csv
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -231,6 +236,113 @@ class TestDepthSupDeviation:
         s = Sample((PointPattern([[0.0]]),))
         with pytest.raises(ValueError):
             depth_sup_deviation(s, EmpiricalReference(s), [])
+
+    @pytest.mark.parametrize("disp", [
+        UniformBox([0.0], [1.0]),
+        DiagonalGaussian([0.3], [0.2]),
+        DiscretePoints([[0.1], [0.3], [0.5], [0.9]], [0.4, 0.3, 0.2, 0.1]),
+    ], ids=["uniform", "gaussian", "discrete"])
+    def test_grid_equals_scalar_depth_loop(self, disp):
+        """The one-pass grid gives the float of the loop below, which takes
+        one scalar depth per candidate, on continuous and tied data and
+        with query points on data points."""
+        for count, n in ((FixedCount(1), 23), (ShiftedPoisson(1.5), 9)):
+            ref = reference_for(count, disp)
+            for seed in range(6):
+                s = sample_sample(n, count, disp, RngStream(seed, n))
+                if seed % 2:  # a 1/8 lattice: tied data
+                    s = Sample(np.round(s.all_points() * 8.0) / 8.0, s.sizes())
+                pts = s.all_points()[:, 0]
+                queries = [[0.25], [float(pts[0])], [float(pts[-1])], [-3.0], [0.5]]
+                got = depth_sup_deviation(s, ref, queries)
+                assert got == _deviation_loop(s, ref, queries)
+
+    def test_grid_keeps_the_scaled_boundary_slack(self):
+        """Points 2e-10 apart near 1000 lie within the boundary slack
+        1e-12 * 1000 of one another, so both measures put all their mass on
+        each closed tail through the cluster, as in the scalar loop."""
+        s = Sample(np.array([[1000.0], [1000.0 + 4e-10]]), np.ones(2, dtype=np.int64))
+        ref = EmpiricalReference(Sample(np.array([[1000.0 + 2e-10]]), np.ones(1, dtype=np.int64)))
+        queries = [[1000.0 + 1e-10], [999.0]]
+        assert depth_sup_deviation(s, ref, queries) == _deviation_loop(s, ref, queries) == 0.0
+
+
+def _depth_1d_loop(measure, x: float) -> float:
+    """One-point depth on the line: a tail count for an empirical measure,
+    scalar reference masses otherwise."""
+    left = halfspace_mass(measure, [x], [1.0])
+    if isinstance(measure, EmpiricalReference):
+        proj = measure.sample.all_points()[:, 0]
+        tol = 1e-12 * max(1.0, float(np.abs(proj).max()), abs(x))
+        right = float(np.count_nonzero(proj >= x - tol) / measure.sample.n)
+    else:
+        right = measure.total_mass - float(measure.line_mass(np.array([1.0]), x, strict=True))
+    return left if left <= right else right
+
+
+def _deviation_loop(sample, ref, eval_points) -> float:
+    """The 1-d depth deviation, one candidate at a time: data points,
+    midpoints of distinct data points, reference atoms and query points."""
+    xs = np.unique(sample.all_points()[:, 0])
+    candidates = [xs, 0.5 * (xs[1:] + xs[:-1])]
+    atoms = ref.line_atoms(np.array([1.0]))
+    if atoms is not None:
+        candidates.append(np.unique(atoms))
+    candidates.append(np.array([p[0] for p in eval_points], dtype=float))
+    emp = EmpiricalReference(sample)
+    best = 0.0
+    for t in np.unique(np.concatenate(candidates)):
+        best = max(best, abs(_depth_1d_loop(ref, float(t)) - _depth_1d_loop(emp, float(t))))
+    return best
+
+
+class TestGaussianDepthClosedForm:
+    """For a count with mean lam and N(mu, diag sigma^2) steps the half-space
+    depth is lam Phi(-|(x - mu) / sigma|): the mass below the boundary in
+    direction u is lam Phi(<x - mu, u> / |sigma u|), and by Cauchy-Schwarz
+    that ratio is smallest at -|(x - mu) / sigma| (Zuo & Serfling 2000,
+    depth of an elliptical law as a function of Mahalanobis distance)."""
+
+    MU = np.array([0.5, -1.0])
+    SIGMA = np.array([1.0, 3.0])
+    REF = reference_for(ShiftedPoisson(1.5), DiagonalGaussian(MU, SIGMA))  # lam = 2.5
+
+    def _closed_form(self, x) -> float:
+        return self.REF.total_mass * float(ndtr(-np.linalg.norm((x - self.MU) / self.SIGMA)))
+
+    @pytest.mark.parametrize("z", [
+        (0.0, 0.0), (0.3, 0.1), (1.0, -1.0), (-2.0, 0.5), (4.0, 3.0), (0.0, -9.0), (-12.0, 20.0),
+    ])
+    def test_smooth_depth_matches_closed_form(self, z):
+        """Mahalanobis offsets z from the centre out to the far tails
+        (|z| = 23.3 gives a depth near 3e-120)."""
+        x = self.MU + self.SIGMA * np.array(z)
+        assert _smooth_depth_2d(self.REF, x) == pytest.approx(self._closed_form(x), rel=1e-9)
+
+    def test_median_on_a_grid_node_is_exact(self):
+        """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing.  Every
+        other node is shallower, and no point is deeper than lam / 2, so the
+        refinement cannot move the answer."""
+        x, d = deepest_point(self.REF, ((-1.0, -4.0), (2.0, 2.0)), 7)
+        assert x.tolist() == self.MU.tolist()
+        assert d == self.REF.total_mass / 2
+
+    @pytest.mark.parametrize("box,grid", [
+        (((-1.0, -4.0), (2.0, 2.0)), 6),
+        (((-2.3, -5.1), (1.7, 2.9)), 8),
+    ])
+    def test_median_off_the_grid(self, box, grid):
+        """Off the grid the Nelder-Mead refinement finds mu.  It stops once
+        its simplex agrees to 1e-10 in depth and in position; near mu the
+        depth falls off as lam (1/2 - r / sqrt(2 pi)) in the Mahalanobis
+        distance r, so a depth within 1e-10 of lam / 2 puts x within
+        r = sqrt(2 pi) 1e-10 / lam = 1e-10 of mu.  Both boxes land within
+        3e-11; the bound is 1e-9."""
+        lam = self.REF.total_mass
+        x, d = deepest_point(self.REF, box, grid)
+        assert np.linalg.norm((x - self.MU) / self.SIGMA) < 1e-9
+        assert lam / 2 - 1e-9 < d <= lam / 2
+        assert d == pytest.approx(self._closed_form(x), rel=1e-12)
 
 
 class TestBatchQueries:

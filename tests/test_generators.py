@@ -260,6 +260,62 @@ class TestDisplacementLaws:
             DiscretePoints([[0.0]], [0.5])
 
 
+class TestBlockProjectionCdf:
+    """A (k, d) block of directions gives, row for row, the floats of the
+    one-direction call: the same value, including the sign of zero."""
+
+    LAWS = (
+        UniformBox([0.0], [1.0]),
+        UniformBox([-2.5], [7.25]),
+        UniformBox([0.0, -1.0], [2.0, 1.0]),
+        UniformBox([0.0, 0.0], [1.0, 1e-9]),  # near-zero width in most directions
+        UniformBox([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+        DiagonalGaussian([0.3], [0.2]),
+        DiagonalGaussian([0.7, -1.2], [1.0, 3.0]),
+        DiagonalGaussian([0.7, -1.2], [0.0, 3.0]),  # zero sd along the first axis
+        DiagonalGaussian([0.1, 0.2, -0.3], [1.0, 2.0, 0.5]),
+        DiscretePoints([[0.1, 0.2], [0.5, 0.5], [0.3, 0.9], [0.5, 0.5]], [0.2, 0.3, 0.3, 0.2]),
+    )
+
+    @staticmethod
+    def _directions(rng, k, d):
+        u = rng.normal(size=(k, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u[0] = np.eye(d)[0]  # axis directions: zero widths and zero sds
+        u[1] = -np.eye(d)[d - 1]
+        u[2] = 0.0
+        return u
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: f"{type(law).__name__}-{law.dim}d")
+    def test_rows_equal_single_direction_calls(self, law):
+        rng = np.random.default_rng(law.dim)
+        for k in (3, 17, 64):
+            u = self._directions(rng, k, law.dim)
+            for shape in ((k,), (k, 9)):
+                s = rng.normal(scale=2.0, size=shape)
+                s.flat[::5] = 0.0  # 0 and 1 hit box corners along the axis directions
+                s.flat[1::7] = 1.0
+                if len(shape) == 2:
+                    s[:, 1] = s[:, 0]  # ties within a row
+                for strict in (False, True):
+                    block = law.projection_cdf(u, s, strict)
+                    assert block.shape == shape
+                    for i in range(k):
+                        row = np.asarray(law.projection_cdf(u[i], s[i], strict))
+                        assert block[i].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("low,high", [(-0.0, 1.0), (-1.0, 0.0)])
+    def test_signed_zero_bounds_on_the_line(self, low, high):
+        """A zero box bound of either sign projects to an end of the support
+        that the one-direction call subtracts as it is."""
+        law = UniformBox([low], [high])
+        u = np.array([[1.0], [-1.0]])
+        s = np.array([[-0.0, 0.0, 0.5], [-0.0, 0.0, -0.5]])
+        block = law.projection_cdf(u, s)
+        for i in range(2):
+            assert block[i].tobytes() == np.asarray(law.projection_cdf(u[i], s[i])).tobytes()
+
+
 class TestUniformDraws:
     """One-dimensional boxes draw through numpy's scalar-bound path; the
     draws must equal the broadcast path's bit for bit."""

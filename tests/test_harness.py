@@ -349,13 +349,14 @@ class TestCli:
             ("ulln", {"n_grid": [10.7]}),
             ("ulln", {"replicates": 10.7}),
             ("brw", {**BRW_GAUSSIAN, "theta_grid": [800]}),
+            ("brw", {**BRW_GAUSSIAN, "fluct_theta": 30}),
             ("brw", {"count": {"kind": "fixed", "k": 100}, "j_grid": [40]}),
         ],
         ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
              "ulln-nan-rate", "bound-beta-nan", "bound-alpha-negative", "depth-box-inverted",
              "depth-box-not-pair", "depth-grid-zero", "depth-eval-dim", "ulln-count-list",
              "ulln-n-grid-fraction", "ulln-replicates-fraction", "brw-theta-overflow",
-             "brw-tree-cap"],
+             "brw-fluct-theta-overflow", "brw-tree-cap"],
     )
     def test_bad_values_exit_one_with_one_line(self, tmp_path, capsys, kind, overrides):
         """Malformed values end in exit 1 and a one-line message, and no
