@@ -26,7 +26,7 @@ from .functions import (
     HalfSpaceIndicator,
 )
 from .generators import CountLaw, RngStream
-from .measure import _golden_section
+from .measure import _golden_section, _pair_normals, _wobble_both_sides
 from .patterns import Sample
 
 __all__ = [
@@ -441,39 +441,14 @@ def halfplane_candidates(
     if sample.dim != 2:
         raise ValueError("half-plane candidates need two-dimensional samples")
     pts = sample.all_points()
-    m = pts.shape[0]
-    ii, jj = np.triu_indices(m, k=1)
-    diff = pts[jj] - pts[ii]
-    norms = np.linalg.norm(diff, axis=1)
-    keep = norms > 0
-    diff = diff[keep] / norms[keep, None]
-    if diff.shape[0] == 0:
-        diff = np.array([[1.0, 0.0]])
-    max_dirs = min(2 * diff.shape[0], 2048)
-    if 2 * diff.shape[0] > max_dirs:
-        stride = diff.shape[0] / (max_dirs // 2)
-        diff = diff[np.unique((np.arange(max_dirs // 2) * stride).astype(int))]
-    wob = 1e-7
-    cos_w, sin_w = math.cos(wob), math.sin(wob)
-    normals = np.stack([-diff[:, 1], diff[:, 0]], axis=1)
-    dirs = np.concatenate(
-        [
-            np.stack(
-                [
-                    cos_w * normals[:, 0] - sin_w * normals[:, 1],
-                    sin_w * normals[:, 0] + cos_w * normals[:, 1],
-                ],
-                axis=1,
-            ),
-            np.stack(
-                [
-                    cos_w * normals[:, 0] + sin_w * normals[:, 1],
-                    -sin_w * normals[:, 0] + cos_w * normals[:, 1],
-                ],
-                axis=1,
-            ),
-        ]
-    )
+    normals = _pair_normals(pts)
+    if normals.shape[0] == 0:
+        normals = np.array([[-0.0, 1.0]])  # the normal of the pair direction (1, 0)
+    max_dirs = min(2 * normals.shape[0], 2048)
+    if 2 * normals.shape[0] > max_dirs:
+        stride = normals.shape[0] / (max_dirs // 2)
+        normals = normals[np.unique((np.arange(max_dirs // 2) * stride).astype(int))]
+    dirs = _wobble_both_sides(normals)
     per_dir = max(8, max_candidates // (2 * dirs.shape[0]))
     seen: set[bytes] = set()
     out: list[HalfSpaceIndicator] = []

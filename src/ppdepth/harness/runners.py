@@ -163,6 +163,10 @@ def _exceedances(
 
 
 def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
+    """Sup deviations of replicates lo..hi-1.  One-dimensional fixed-count
+    samples against an atomless reference are swept as rows in batches
+    (``halfline_sup_rows``, bit for bit ``sup_deviation``'s values); every
+    other sample goes through ``sup_deviation``."""
     count, disp, cls, ref, n, seed, tag = shared
     fixed_1d = (
         isinstance(count, FixedCount)

@@ -15,6 +15,11 @@ changes only at those directions; against any other reference the sup can
 lie inside an arc between them, so the result is flagged as a lower bound.
 In dimension three and above the result is a flagged lower bound over
 sampled directions.
+
+Every half-line sweep takes its empirical masses from one rule: ``prefix``
+holds the m + 1 prefix sums of the sorted weights with a leading 0
+(``np.cumsum``), the weak mass (-inf, x] is ``prefix[#points <= x]`` and the
+strict mass (-inf, x) is ``prefix[#points < x]``.
 """
 
 from __future__ import annotations
@@ -226,6 +231,38 @@ def _sweep_sups(weak_max, weak_min, strict_max, strict_min, dtot):
     )
 
 
+def _prefix(ws: np.ndarray) -> np.ndarray:
+    """The m + 1 prefix sums of the sorted weights ``ws``, with a leading 0."""
+    prefix = np.zeros(ws.size + 1)
+    np.cumsum(ws, out=prefix[1:])
+    return prefix
+
+
+def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) -> None:
+    """Write into ``out`` the half-line sup of each row of ``proj`` against
+    the atomless ``ref`` along ``u`` (one direction, or one per row), for
+    rows sorted ascending whose points carry the positive weights summed in
+    ``prefix``.
+
+    Row i equals ``_line_sup``'s value on it.  With positive weights
+    ``prefix[:-1] <= prefix[1:]`` elementwise, and rounding is monotone, so
+    every strict deviation is at most its weak one: the largest of all
+    deviations is ``hi``, the max of the weak ones, and the smallest is
+    ``lo``, the min of the strict ones.  Inside a tie group each point's
+    own prefix values lie between the group's strict and weak masses, so
+    ties need no special case.
+    """
+    ref_vals = np.asarray(ref.line_mass(u, proj), dtype=float)
+    dev = prefix[1:] - ref_vals
+    hi = dev.max(axis=1)
+    np.subtract(prefix[:-1], ref_vals, out=dev)
+    lo = dev.min(axis=1)
+    dtot = prefix[-1] - ref.total_mass
+    out[:] = abs(dtot)
+    for sup in _sweep_sups(hi, hi, lo, lo, dtot):
+        np.maximum(out, sup, out=out)
+
+
 def _line_sup(
     xs: np.ndarray,
     ws: np.ndarray,
@@ -244,15 +281,16 @@ def _line_sup(
     reference's atoms, passed via ``extra_positions``).  Returns
     (value, threshold, orientation); infinite thresholds encode the tails.
 
-    The cumulative weights are ``np.cumsum`` of the weights in stably sorted
-    order.  Equal weights only need the sorted positions, since no order of
-    ties changes their cumsum.  Unequal weights take the default argsort,
-    which agrees with the stable one unless positions tie; only then is the
-    stable argsort run.  The value comes from the extremes of the weak and
-    strict deviations (``_sweep_sups``); one argmax over the winning
-    candidate then gives its first index, so the threshold and orientation
-    follow the scan order: weak, strict, then the two reversed candidates,
-    each taken only when strictly larger than all before it and the tails.
+    The empirical masses follow the module's prefix rule (``_prefix``) in
+    stably sorted order.  Equal weights only need the sorted positions, since
+    no order of ties changes their prefix sums.  Unequal weights take the
+    default argsort, which agrees with the stable one unless positions tie;
+    only then is the stable argsort run.  The value comes from the extremes
+    of the weak and strict deviations (``_sweep_sups``); one argmax over the
+    winning candidate then gives its first index, so the threshold and
+    orientation follow the scan order: weak, strict, then the two reversed
+    candidates, each taken only when strictly larger than all before it and
+    the tails.
     """
     if ws.size and (ws == ws[0]).all():
         xs = np.sort(xs)
@@ -263,24 +301,19 @@ def _line_sup(
             order = np.argsort(xs, kind="stable")
             sorted_xs = xs[order]
         xs, ws = sorted_xs, ws[order]
-    cum = np.cumsum(ws)
-    emp_total = float(cum[-1]) if cum.size else 0.0
+    prefix = _prefix(ws)
 
     no_ties = bool((xs[1:] > xs[:-1]).all())
     if no_ties and (extra_positions is None or not len(extra_positions)):
-        pos = xs
-        emp_weak = cum
-        emp_strict = cum - ws
+        pos, emp_weak, emp_strict = xs, prefix[1:], prefix[:-1]
     else:
         pos = np.unique(xs)
         if extra_positions is not None and len(extra_positions):
             pos = np.union1d(pos, np.asarray(extra_positions, dtype=float))
-        idx_weak = np.searchsorted(xs, pos, side="right")
-        idx_strict = np.searchsorted(xs, pos, side="left")
-        emp_weak = np.where(idx_weak > 0, cum[idx_weak - 1], 0.0)
-        emp_strict = np.where(idx_strict > 0, cum[idx_strict - 1], 0.0)
+        emp_weak = prefix[np.searchsorted(xs, pos, side="right")]
+        emp_strict = prefix[np.searchsorted(xs, pos, side="left")]
 
-    dtot = emp_total - ref_total
+    dtot = float(prefix[-1]) - ref_total
     # the tails: closed (-inf, inf) and the empty half-line
     best_val, best_k = abs(dtot), -1
     if pos.size:
@@ -368,67 +401,54 @@ def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.nda
     """Row-wise half-line sup deviation for B samples of equal layout.
 
     ``rows`` has shape (B, m): the m one-dimensional points of each sample,
-    every point carrying weight 1/n.  Requires an atomless reference (ties
-    then have probability zero and the weak/strict scan reduces to shifted
-    cumulative weights).  Matches ``sup_deviation`` on each row.
-
-    Each row's value comes from the max and min of its weak deviations
-    (``_sweep_sups``).  The strict deviations are the weak ones less 1/n,
-    and rounding is monotone, so their extremes are the weak extremes less
-    1/n.  Rows are sorted and reduced in blocks of about 2^15 points, so
-    each block's deviations stay in cache and no (B, m) array beyond the
-    sorted copy of ``rows`` is built.
+    every point carrying weight 1/n.  Requires an atomless reference.  Row i
+    equals ``sup_deviation`` on that sample bit for bit.  Rows are sorted
+    and reduced (``_sorted_row_sups``) in blocks of about 2^15 points, so
+    each block's deviations stay in cache.
     """
     if ref.line_atoms(np.array([1.0])) is not None:
         raise ValueError("batched sweep requires an atomless reference")
     rows = np.array(rows, dtype=float)
     b, m = rows.shape
     u = np.array([1.0])
-    cum = np.arange(1, m + 1, dtype=float) / n
-    weak_max = np.empty(b)
-    weak_min = np.empty(b)
+    prefix = _prefix(np.full(m, 1.0 / n))
+    out = np.empty(b)
     per = max(1, (1 << 15) // m)
     for lo in range(0, b, per):
         block = rows[lo : lo + per]
         for row in block:  # row-wise sorts stay cache-resident, axis sorts do not
             row.sort()
-        dev_weak = cum - np.asarray(ref.line_mass(u, block), dtype=float)
-        dev_weak.max(axis=1, out=weak_max[lo : lo + per])
-        dev_weak.min(axis=1, out=weak_min[lo : lo + per])
-    step = 1.0 / n
-    dtot = m / n - ref.total_mass
-    out = np.full(b, abs(dtot))
-    for sup in _sweep_sups(weak_max, weak_min, weak_max - step, weak_min - step, dtot):
-        np.maximum(out, sup, out=out)
+        _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
     return out
 
 
-def _pair_normal_directions(points: np.ndarray, wobble: float = 1e-7) -> np.ndarray:
-    """Unit normals of all lines through pairs of distinct points, each with
-    angular perturbations on both sides."""
-    m = points.shape[0]
-    ii, jj = np.triu_indices(m, k=1)
+def _pair_normals(points: np.ndarray) -> np.ndarray:
+    """Unit normals (-dy, dx) of the lines through pairs of distinct points."""
+    ii, jj = np.triu_indices(points.shape[0], k=1)
     diff = points[jj] - points[ii]
     norms = np.linalg.norm(diff, axis=1)
     keep = norms > 0
     diff = diff[keep] / norms[keep, None]
-    base = np.stack([-diff[:, 1], diff[:, 0]], axis=1)
-    cos_w, sin_w = math.cos(wobble), math.sin(wobble)
-    rot_plus = np.stack(
+    return np.stack([-diff[:, 1], diff[:, 0]], axis=1)
+
+
+def _wobble_both_sides(normals: np.ndarray) -> np.ndarray:
+    """The rows of ``normals`` rotated by +1e-7, then by -1e-7 radians."""
+    cos_w, sin_w = math.cos(1e-7), math.sin(1e-7)
+    x, y = normals[:, 0], normals[:, 1]
+    return np.concatenate(
         [
-            cos_w * base[:, 0] - sin_w * base[:, 1],
-            sin_w * base[:, 0] + cos_w * base[:, 1],
-        ],
-        axis=1,
+            np.stack([cos_w * x - sin_w * y, sin_w * x + cos_w * y], axis=1),
+            np.stack([cos_w * x + sin_w * y, -sin_w * x + cos_w * y], axis=1),
+        ]
     )
-    rot_minus = np.stack(
-        [
-            cos_w * base[:, 0] + sin_w * base[:, 1],
-            -sin_w * base[:, 0] + cos_w * base[:, 1],
-        ],
-        axis=1,
-    )
-    dirs = np.concatenate([base, rot_plus, rot_minus], axis=0)
+
+
+def _pair_normal_directions(points: np.ndarray) -> np.ndarray:
+    """Unit normals of all lines through pairs of distinct points, each with
+    angular perturbations on both sides."""
+    base = _pair_normals(points)
+    dirs = np.concatenate([base, _wobble_both_sides(base)], axis=0)
     if dirs.size == 0:
         dirs = np.array([[1.0, 0.0]])
     return dirs
@@ -482,38 +502,16 @@ def _atomless_direction_sups(
 
     Directions go in blocks of about 2^15 projected values: one batched
     matrix-vector product (row i is ``pts @ dirs[i]``, the same BLAS call),
-    a row-wise sort and one reference-mass call per block.  A row without
-    ties takes ``_line_sup``'s weak and strict masses ``cum`` and
-    ``cum - ws``.  In a row with ties (pair-normal directions tie by
-    construction) ``_line_sup`` takes, per tie group, the cum at its end
-    and the cum before its start.  Here every point takes its own cum and
-    the cum before it: that adds only values between the two of its
-    group, which cannot move the extremes of the five candidates of
-    ``_sweep_sups``.  So every value is the float ``_ref_line_sup``
-    returns.
+    a row-wise sort and one ``_sorted_row_sups`` call per block.
     """
-    cum = np.cumsum(ws)
-    cum_before = np.concatenate([[0.0], cum[:-1]])
-    dtot = float(cum[-1]) - ref.total_mass
+    prefix = _prefix(ws)
     out = np.empty(len(dirs))
     per = max(1, (1 << 15) // pts.shape[0])
     for lo in range(0, len(dirs), per):
         block = dirs[lo : lo + per]
         proj = np.matmul(pts, block[:, :, None])[:, :, 0]
         proj.sort(axis=1)
-        ref_vals = np.asarray(ref.line_mass(block, proj), dtype=float)
-        dev_weak = cum - ref_vals
-        dev_strict = (cum - ws) - ref_vals
-        tied = (proj[:, 1:] == proj[:, :-1]).any(axis=1)
-        dev_strict[tied] = cum_before - ref_vals[tied]
-        sups = _sweep_sups(
-            dev_weak.max(axis=1), dev_weak.min(axis=1),
-            dev_strict.max(axis=1), dev_strict.min(axis=1), dtot,
-        )
-        vals = out[lo : lo + per]
-        vals[:] = abs(dtot)
-        for sup in sups:
-            np.maximum(vals, sup, out=vals)
+        _sorted_row_sups(proj, block, prefix, ref, out[lo : lo + per])
     return out
 
 

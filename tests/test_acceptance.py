@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import lambertw
+from scipy.stats import kstest, kstwo
 
 from ppdepth import (
     DeviationBoundParams,
@@ -142,13 +143,38 @@ class TestCriterion3UllnRate:
             out = run_experiment(cfg, threads=THREADS)
             slope = next(r for r in out.records if r.statistic == "loglog_slope").value
             slopes[name] = (slope, tol)
+            if name == "fixed":
+                sups = self._sups_by_n(out.records)
         elapsed = time.perf_counter() - start
-        ok = all(abs(s + 0.5) <= tol for s, tol in slopes.values()) and elapsed < 120.0
+        # fixed count 1 and U(0, 1) steps make each sup a two-sided KS
+        # statistic, whose exact law is kstwo(n); the sups plus 1/n must
+        # fail the same test, so it sees an off-by-one-point sweep
+        pvalues = {n: kstest(v, kstwo(n).cdf).pvalue for n, v in sups.items()}
+        shifted = {n: kstest(v + 1.0 / n, kstwo(n).cdf).pvalue for n, v in sups.items()}
+        ok = (
+            all(abs(s + 0.5) <= tol for s, tol in slopes.values())
+            and min(pvalues.values()) > 1e-3
+            and elapsed < 120.0
+        )
         detail = ", ".join(f"{k}: {s:+.3f} (tol {t})" for k, (s, t) in slopes.items())
-        report(3, "ULLN decay rate", ok, f"{detail}, {elapsed:.0f}s")
+        ks = ", ".join(f"n={n}: p={p:.3g}" for n, p in pvalues.items())
+        report(3, "ULLN decay rate", ok, f"{detail}, kstwo {ks}, {elapsed:.0f}s")
         for name, (slope, tol) in slopes.items():
             assert abs(slope + 0.5) <= tol, f"{name}: slope {slope}"
+        assert min(pvalues.values()) > 1e-3, pvalues
+        assert min(shifted.values()) < 1e-3, shifted
         assert elapsed < 120.0
+
+    @staticmethod
+    def _sups_by_n(records) -> dict[int, np.ndarray]:
+        """The 200 replicate ``sup_deviation`` records at each n."""
+        sups: dict[int, list[float]] = {}
+        for r in records:
+            if r.statistic == "sup_deviation":
+                sups.setdefault(dict(r.params)["n"], []).append(r.value)
+        assert sorted(sups) == [100, 1000, 10000]
+        assert all(len(v) == 200 for v in sups.values())
+        return {n: np.array(v) for n, v in sups.items()}
 
 
 class TestCriterion4CltCovariance:

@@ -524,14 +524,20 @@ class TestExactLaw:
 
 class TestBatchedSweep:
     def test_rows_match_single_sample_path(self):
+        """Row i of the batched sweep is ``sup_deviation`` on sample i, bit
+        for bit: continuous and tied rows, counts 2 and 3, uniform and
+        Gaussian references."""
         rng = np.random.default_rng(50)
-        ref = reference_for(FixedCount(2), UNIFORM01)
-        rows = rng.uniform(0, 1, size=(40, 14))  # 7 patterns of 2 points
-        batch = halfline_sup_rows(rows, 7, ref)
-        for i, row in enumerate(rows):
-            s = Sample(tuple(PointPattern([[a], [b]]) for a, b in row.reshape(7, 2)))
-            single = sup_deviation(s, half_lines(), ref).value
-            assert batch[i] == pytest.approx(single, abs=1e-12)
+        for k, disp in ((2, UNIFORM01), (3, DiagonalGaussian([0.3], [0.2]))):
+            ref = reference_for(FixedCount(k), disp)
+            for tied in (False, True):
+                rows = disp.sample(rng, 40 * 7 * k).reshape(40, 7 * k)  # 7 patterns
+                if tied:
+                    rows = np.round(rows * 4.0) / 4.0
+                batch = halfline_sup_rows(rows, 7, ref)
+                for i, row in enumerate(rows):
+                    s = Sample(tuple(PointPattern(p[:, None]) for p in row.reshape(7, k)))
+                    assert batch[i] == sup_deviation(s, half_lines(), ref).value
 
     def test_weighted_flat_matches_sample_path(self):
         rng = np.random.default_rng(51)
@@ -541,7 +547,7 @@ class TestBatchedSweep:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         s = Sample(tuple(PointPattern(pts[offsets[i]:offsets[i + 1]]) for i in range(9)))
         flat = halfline_sup_weighted(pts[:, 0], np.full(pts.shape[0], 1 / 9), ref)
-        assert flat == pytest.approx(sup_deviation(s, half_lines(), ref).value, abs=1e-14)
+        assert flat == sup_deviation(s, half_lines(), ref).value
 
     def test_batch_rejects_atomic_reference(self):
         ref = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
@@ -550,24 +556,21 @@ class TestBatchedSweep:
 
 
 def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
-    """The half-line sweep as first written: stable argsort, then one full
-    abs/argmax pass per candidate.  The oracle for ``_line_sup``."""
+    """The half-line sweep in its plainest form: stable argsort, the
+    leading-zero prefix sums of the weights, then one full abs/argmax pass
+    per candidate.  The oracle for ``_line_sup``."""
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
-    ws = ws[order]
-    cum = np.cumsum(ws)
-    emp_total = float(cum[-1]) if cum.size else 0.0
+    prefix = np.concatenate([[0.0], np.cumsum(ws[order])])
     no_ties = xs.size == 0 or bool((np.diff(xs) > 0).all())
     if no_ties and (extra_positions is None or not len(extra_positions)):
-        pos, emp_weak, emp_strict = xs, cum, cum - ws
+        pos, emp_weak, emp_strict = xs, prefix[1:], prefix[:-1]
     else:
         pos = np.unique(xs)
         if extra_positions is not None and len(extra_positions):
             pos = np.union1d(pos, np.asarray(extra_positions, dtype=float))
-        idx_weak = np.searchsorted(xs, pos, side="right")
-        idx_strict = np.searchsorted(xs, pos, side="left")
-        emp_weak = np.where(idx_weak > 0, cum[idx_weak - 1], 0.0)
-        emp_strict = np.where(idx_strict > 0, cum[idx_strict - 1], 0.0)
+        emp_weak = prefix[np.searchsorted(xs, pos, side="right")]
+        emp_strict = prefix[np.searchsorted(xs, pos, side="left")]
     ref_weak_vals = np.asarray(ref_weak(pos), dtype=float)
     if ref_strict is None:
         ref_strict_vals = ref_weak_vals
@@ -575,7 +578,7 @@ def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions
         ref_strict_vals = np.asarray(ref_strict(pos), dtype=float)
     dev_weak = emp_weak - ref_weak_vals
     dev_strict = emp_strict - ref_strict_vals
-    dtot = emp_total - ref_total
+    dtot = float(prefix[-1]) - ref_total
     best_val, best_t, best_o = abs(dtot), math.inf, 1
     for devs, orient in (
         (np.abs(dev_weak), 1),
@@ -590,20 +593,9 @@ def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions
 
 
 def _rows_reference(rows, n, ref):
-    """The batched sweep as first written: five full passes over (B, m)."""
-    rows = np.sort(np.array(rows, dtype=float), axis=1)
-    b, m = rows.shape
-    cum = np.arange(1, m + 1, dtype=float) / n
-    ref_vals = np.asarray(ref.line_mass(np.array([1.0]), rows), dtype=float)
-    dev_weak = cum[None, :] - ref_vals
-    dev_strict = dev_weak - 1.0 / n
-    dtot = m / n - ref.total_mass
-    out = np.abs(dev_weak).max(axis=1)
-    np.maximum(out, np.abs(dev_strict).max(axis=1), out=out)
-    np.maximum(out, np.abs(dtot - dev_weak).max(axis=1), out=out)
-    np.maximum(out, np.abs(dtot - dev_strict).max(axis=1), out=out)
-    np.maximum(out, abs(dtot), out=out)
-    return out
+    """The batched sweep as a row loop over ``_line_sup_reference``."""
+    ws = np.full(rows.shape[1], 1.0 / n)
+    return np.array([_line_sup_reference(row, ws, *_sweep_args(ref))[0] for row in rows])
 
 
 def _sweep_args(ref):
@@ -618,9 +610,9 @@ def _sweep_args(ref):
 
 
 class TestSweepKernelExact:
-    """The sweep equals its first-written form bit for bit: value,
-    threshold and orientation, on continuous and tied positions, equal and
-    signed weights, and zero, uniform and atomic references."""
+    """The sweep equals its plainest form bit for bit: value, threshold
+    and orientation, on continuous and tied positions, equal and signed
+    weights, and zero, uniform and atomic references."""
 
     REFS = (
         None,
