@@ -33,6 +33,8 @@ from .patterns import PointPattern
 __all__ = [
     "BrwTree",
     "TreeCapError",
+    "VERTEX_CAP",
+    "expected_vertices",
     "grow_tree",
     "vertex_pattern",
     "lotka_nagaev",
@@ -43,6 +45,21 @@ __all__ = [
     "dump_tree",
     "load_tree",
 ]
+
+
+VERTEX_CAP = 10_000_000
+
+
+def expected_vertices(count: CountLaw, generations: int) -> float:
+    """E|V_0| + ... + E|V_g| = sum_{j <= g} E[L]^j for g = ``generations``:
+    the expected size of a tree grown by ``grow_tree`` (inf on overflow)."""
+    mean = count.moments().mean
+    if mean == 1.0:
+        return float(generations + 1)
+    try:
+        return (mean ** (generations + 1) - 1.0) / (mean - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 class TreeCapError(ValueError):
@@ -121,7 +138,7 @@ def grow_tree(
     disp: DisplacementLaw,
     generations: int,
     rng: RngStream,
-    cap: int = 10_000_000,
+    cap: int = VERTEX_CAP,
 ) -> BrwTree:
     """Grow a tree with generations 0 .. ``generations``, root at the origin."""
     if generations < 1:

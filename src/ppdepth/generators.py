@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import gammaln, logsumexp, ndtr
 
 from .functions import (
     Constant,
@@ -79,15 +78,49 @@ class RngStream:
         )
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, *labels) -> "RngStream":
+    def _label_hash(self, labels):
         h = hashlib.blake2b(digest_size=8)
         h.update(str(self.master_seed).encode())
         h.update(str(self.stream_index).encode())
         for label in labels:
             h.update(b"/")
             h.update(str(label).encode())
-        index = int.from_bytes(h.digest(), "little")
+        return h
+
+    def child(self, *labels) -> "RngStream":
+        index = int.from_bytes(self._label_hash(labels).digest(), "little")
         return RngStream(self.master_seed, index)
+
+    def child_generators(self, *labels, lo: int, hi: int):
+        """Yield, for r = lo .. hi - 1, a generator that draws the same bytes
+        as ``self.child(*labels, r).generator()``.
+
+        The block builds one Philox and reseats it for each replicate (the
+        replicate's key, a zero counter, an empty buffer), and hashes the
+        common labels once: ``Philox(key=...)`` draws OS entropy for a seed
+        sequence that the key then overrides, which costs more than a small
+        replicate's draws.  Every step yields the same generator object, so
+        a replicate's generator is valid only until the next one is yielded.
+        """
+        prefix = self._label_hash(labels)
+        seed = self.master_seed % 2**64
+        bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        gen = np.random.Generator(bit_gen)
+        zeros = np.zeros(4, dtype=np.uint64)
+        for r in range(lo, hi):
+            h = prefix.copy()
+            h.update(b"/")
+            h.update(str(r).encode())
+            index = int.from_bytes(h.digest(), "little")
+            bit_gen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": np.array([seed, index], dtype=np.uint64)},
+                "buffer": zeros,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +341,8 @@ def cox_pmf(k: int, mixing: CoxMixture) -> float:
     if k <= 20:
         terms = w * t**k / (math.factorial(k) * np.expm1(t))
         return float(terms.sum())
+    from scipy.special import gammaln, logsumexp
+
     log_terms = (
         np.log(w, where=w > 0, out=np.full_like(w, -np.inf))
         + k * np.log(t)
@@ -547,6 +582,16 @@ class UniformBox(DisplacementLaw):
         return math.exp(theta * a) * math.expm1(x) / x
 
 
+def _ndtr(x):
+    """``scipy.special.ndtr``, imported on the first call, which rebinds
+    this name to it: importing ``scipy.special`` takes about 0.3 s, and an
+    import statement per call costs more than a small ``ndtr``."""
+    global _ndtr
+    from scipy.special import ndtr as _ndtr
+
+    return _ndtr(x)
+
+
 @dataclass(frozen=True)
 class DiagonalGaussian(DisplacementLaw):
     mean: np.ndarray
@@ -577,7 +622,7 @@ class DiagonalGaussian(DisplacementLaw):
         sd = float(np.sqrt(((u * self.std) ** 2).sum()))
         if sd == 0.0:
             return ((s > mu) if strict else (s >= mu)).astype(float)
-        out = ndtr((s - mu) / sd)
+        out = _ndtr((s - mu) / sd)
         return out if out.ndim else float(out)
 
     def _block_cdf(self, u, s, strict):
@@ -591,7 +636,7 @@ class DiagonalGaussian(DisplacementLaw):
         s_step, mu_step = s[step], col(mu[step])
         out[step] = ((s_step > mu_step) if strict else (s_step >= mu_step)).astype(float)
         smooth = ~step
-        out[smooth] = ndtr((s[smooth] - col(mu[smooth])) / col(sd[smooth]))
+        out[smooth] = _ndtr((s[smooth] - col(mu[smooth])) / col(sd[smooth]))
         return out
 
     def mgf(self, theta):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..branching import true_laplace
+from ..branching import VERTEX_CAP, expected_vertices, true_laplace
 
 from ..functions import (
     Constant,
@@ -211,8 +211,25 @@ class ExperimentConfig:
             self.disp.dim != 1 or self.function_class.kind != "half_lines"
         ):
             raise ConfigError("diag experiments use half-lines on the real line")
-        elif self.kind == "simulate" and self.target not in ("sample", "tree"):
-            raise ConfigError(f"unknown simulate target {self.target!r}")
+        elif self.kind == "simulate":
+            if self.target not in ("sample", "tree"):
+                raise ConfigError(f"unknown simulate target {self.target!r}")
+            if self.target == "tree":
+                self._check_tree_size(self.generations)
+
+    @property
+    def brw_generations(self) -> int:
+        """Generations grown per brw tree: the fluctuation pair at j* + 1
+        and j* + 2, j* = max(j_grid), needs the children of j* + 2."""
+        return max(self.j_grid) + 3
+
+    def _check_tree_size(self, generations: int) -> None:
+        expected = expected_vertices(self.count, generations)
+        if expected > VERTEX_CAP:
+            raise ConfigError(
+                f"a tree of {generations} generations has {expected:.3g} expected "
+                f"vertices, above the cap of {VERTEX_CAP}"
+            )
 
     def _check_clt(self):
         cls = self.function_class
@@ -250,6 +267,7 @@ class ExperimentConfig:
             raise ConfigError("brw experiments need one-dimensional displacements")
         if self.count.moments().mean <= 1.0:
             raise ConfigError("the fluctuation study needs a supercritical count law")
+        self._check_tree_size(self.brw_generations)
         for theta in self.theta_grid:
             try:
                 with np.errstate(over="ignore"):

@@ -1,7 +1,8 @@
 """Experiment runners: seeded, replicate-parallel Monte Carlo studies.
 
 Each replicate owns a counter-based stream derived from the master seed and
-its index, and results are folded in replicate order, so outputs are
+its index (a block draws them with ``RngStream.child_generators``, one
+reseated generator), and results are folded in replicate order, so outputs are
 byte-identical for any worker count.  ``_over_replicates`` splits the
 replicates into blocks purely for scheduling and runs one module-level block
 function per block.  Configs arrive validated, so runners hold study logic
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..bounds import (
     DeviationBound,
@@ -40,6 +40,7 @@ from ..generators import (
 )
 from ..measure import (
     EmpiricalReference,
+    halfline_sup_ragged,
     halfline_sup_rows,
     halfline_sup_weighted,
     reference_for,
@@ -168,6 +169,7 @@ def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
     (``halfline_sup_rows``, bit for bit ``sup_deviation``'s values); every
     other sample goes through ``sup_deviation``."""
     count, disp, cls, ref, n, seed, tag = shared
+    gens = RngStream(seed).child_generators(tag, n, lo=lo, hi=hi)
     fixed_1d = (
         isinstance(count, FixedCount)
         and disp.dim == 1
@@ -180,18 +182,14 @@ def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
         m = count.k * n
         chunk = max(1, 2_000_000 // max(1, m))
         buf = np.empty((chunk, m))
-        done = lo
-        while done < hi:
+        for done in range(lo, hi, chunk):
             b = min(chunk, hi - done)
-            for i in range(b):
-                gen = RngStream(seed).child(tag, n, done + i).generator()
+            for i, gen in zip(range(b), gens):
                 buf[i] = draw_flat(n, count, disp, gen)[0][:, 0]
             out[done - lo : done - lo + b] = halfline_sup_rows(buf[:b], n, ref)
-            done += b
         return out
-    for r in range(lo, hi):
-        gen = RngStream(seed).child(tag, n, r).generator()
-        out[r - lo] = sup_deviation(draw_sample(n, count, disp, gen), cls, ref).value
+    for i, gen in enumerate(gens):
+        out[i] = sup_deviation(draw_sample(n, count, disp, gen), cls, ref).value
     return out
 
 
@@ -233,11 +231,10 @@ def _clt_block(shared, lo: int, hi: int) -> np.ndarray:
     count, disp, fs, mus, n, seed = shared
     out = np.empty((hi - lo, len(fs)))
     root_n = math.sqrt(n)
-    for r in range(lo, hi):
-        gen = RngStream(seed).child("clt", n, r).generator()
+    for i, gen in enumerate(RngStream(seed).child_generators("clt", n, lo=lo, hi=hi)):
         pts, _ = draw_flat(n, count, disp, gen)
         for k, f in enumerate(fs):
-            out[r - lo, k] = root_n * (f.evaluate(pts).sum() / n - mus[k])
+            out[i, k] = root_n * (f.evaluate(pts).sum() / n - mus[k])
     return out
 
 
@@ -273,6 +270,8 @@ def _cov_with_se(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_ks_distance(values: np.ndarray) -> float:
+    from scipy.special import ndtr
+
     sd = values.std(ddof=1)
     if sd == 0:
         return 0.0
@@ -375,8 +374,8 @@ def _depth_block(shared, lo: int, hi: int):
     dev_rows = np.empty(hi - lo)
     sup_rows = np.empty(hi - lo)
     deepest = []
-    for r in range(lo, hi):
-        gen = RngStream(seed).child("depth", n, r).generator()
+    gens = RngStream(seed).child_generators("depth", n, lo=lo, hi=hi)
+    for r, gen in zip(range(lo, hi), gens):
         sample = draw_sample(n, count, disp, gen)
         dev_rows[r - lo] = depth_sup_deviation(sample, ref, eval_points)
         sup_rows[r - lo] = sup_deviation(sample, cls, ref).value
@@ -441,8 +440,7 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
 
 
 def _brw_block(shared, lo: int, hi: int):
-    count, disp, j_grid, thetas, fluct_theta, j_star, m_true, mu_f, seed = shared
-    generations = j_star + 3
+    count, disp, j_grid, thetas, fluct_theta, j_star, generations, m_true, mu_f, seed = shared
     n_j, n_t = len(j_grid), len(thetas)
     err_hat = np.empty((hi - lo, n_j, n_t))
     err_tilde = np.empty((hi - lo, n_j, n_t))
@@ -484,7 +482,7 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     mu_f = ref.mass_of(f)
     gamma_f = ref.pattern_covariance(f, f)
     shared = (config.count, config.disp, j_grid, thetas, config.fluct_theta,
-              j_star, m_true, mu_f, config.seed)
+              j_star, config.brw_generations, m_true, mu_f, config.seed)
     err_hat, err_tilde, w_pair = _over_replicates(_brw_block, shared, config, threads)
 
     records: list[ResultRecord] = []
@@ -519,18 +517,28 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 
 def _diag_block(shared, lo: int, hi: int):
+    """Deviations and Rademacher-signed sups of replicates lo..hi-1, each
+    bit for bit ``halfline_sup_weighted``'s value.  The block is drawn first
+    and then reduced in one ``halfline_sup_ragged`` call per kind; against
+    a reference with atoms the deviations are swept one replicate at a
+    time."""
     count, disp, ref, n, seed = shared
-    devs = np.empty(hi - lo)
-    syms = np.empty(hi - lo)
-    for r in range(lo, hi):
-        gen = RngStream(seed).child("diag", n, r).generator()
-        pts, sizes = draw_flat(n, count, disp, gen)
-        weights = np.full(pts.shape[0], 1.0 / n)
-        devs[r - lo] = halfline_sup_weighted(pts[:, 0], weights, ref)
+    points, sizes, signed = [], [], []
+    for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
+        pts, counts = draw_flat(n, count, disp, gen)
         signs = gen.choice(np.array([-1.0, 1.0]), size=n)
-        syms[r - lo] = halfline_sup_weighted(
-            pts[:, 0], np.repeat(signs / n, sizes), None
-        )
+        points.append(pts[:, 0])
+        sizes.append(pts.shape[0])
+        signed.append(np.repeat(signs / n, counts))
+    xs = np.concatenate(points)
+    weights = np.full(xs.size, 1.0 / n)
+    if ref.line_atoms(np.array([1.0])) is None:
+        devs = halfline_sup_ragged(xs, sizes, weights, ref)
+    else:
+        devs = np.array([
+            halfline_sup_weighted(p, weights[: p.size], ref) for p in points
+        ])
+    syms = halfline_sup_ragged(xs, sizes, np.concatenate(signed), None)
     return devs, syms
 
 

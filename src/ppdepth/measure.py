@@ -54,6 +54,7 @@ __all__ = [
     "signed_halfline_sup",
     "halfline_sup_weighted",
     "halfline_sup_rows",
+    "halfline_sup_ragged",
 ]
 
 
@@ -242,7 +243,7 @@ def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) ->
     """Write into ``out`` the half-line sup of each row of ``proj`` against
     the atomless ``ref`` along ``u`` (one direction, or one per row), for
     rows sorted ascending whose points carry the positive weights summed in
-    ``prefix``.
+    ``prefix`` (one prefix for all rows, or one per row).
 
     Row i equals ``_line_sup``'s value on it.  With positive weights
     ``prefix[:-1] <= prefix[1:]`` elementwise, and rounding is monotone, so
@@ -253,11 +254,11 @@ def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) ->
     ties need no special case.
     """
     ref_vals = np.asarray(ref.line_mass(u, proj), dtype=float)
-    dev = prefix[1:] - ref_vals
+    dev = prefix[..., 1:] - ref_vals
     hi = dev.max(axis=1)
-    np.subtract(prefix[:-1], ref_vals, out=dev)
+    np.subtract(prefix[..., :-1], ref_vals, out=dev)
     lo = dev.min(axis=1)
-    dtot = prefix[-1] - ref.total_mass
+    dtot = prefix[..., -1] - ref.total_mass
     out[:] = abs(dtot)
     for sup in _sweep_sups(hi, hi, lo, lo, dtot):
         np.maximum(out, sup, out=out)
@@ -402,24 +403,109 @@ def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.nda
 
     ``rows`` has shape (B, m): the m one-dimensional points of each sample,
     every point carrying weight 1/n.  Requires an atomless reference.  Row i
-    equals ``sup_deviation`` on that sample bit for bit.  Rows are sorted
-    and reduced (``_sorted_row_sups``) in blocks of about 2^15 points, so
-    each block's deviations stay in cache.
+    equals ``sup_deviation`` on that sample bit for bit.  Rows are copied,
+    sorted and reduced (``_sorted_row_sups``) in blocks of about 2^15
+    points, so each block's deviations stay in cache and ``rows`` is never
+    copied whole.
     """
     if ref.line_atoms(np.array([1.0])) is not None:
         raise ValueError("batched sweep requires an atomless reference")
-    rows = np.array(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     b, m = rows.shape
     u = np.array([1.0])
     prefix = _prefix(np.full(m, 1.0 / n))
     out = np.empty(b)
     per = max(1, (1 << 15) // m)
     for lo in range(0, b, per):
-        block = rows[lo : lo + per]
+        block = rows[lo : lo + per].copy()
         for row in block:  # row-wise sorts stay cache-resident, axis sorts do not
             row.sort()
         _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
     return out
+
+
+def halfline_sup_ragged(
+    points, sizes, weights, ref: ReferenceMeasure | None = None
+) -> np.ndarray:
+    """``halfline_sup_weighted`` for B samples at once, bit for bit.
+
+    Sample i holds the next ``sizes[i]`` entries of the flat ``points`` and
+    ``weights``.  Against a reference, which must be atomless, all weights
+    must be one positive value (1/n for plain samples), and sorted rows go
+    to ``_sorted_row_sups``.  ``ref = None`` means the zero measure and
+    takes any signed weights (``_signed_row_sups``).  Samples go in blocks
+    of about 2^15 points, each padded to its longest sample with points at
+    +inf of weight 0: a padded point only repeats the total deviation as a
+    candidate, which is already one.
+    """
+    xs = np.asarray(points, dtype=float)
+    ws = np.asarray(weights, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if ws.shape != xs.shape or xs.ndim != 1 or xs.size != sizes.sum():
+        raise ValueError("one weight per point and sizes summing to the points required")
+    if ref is not None:
+        if ref.line_atoms(np.array([1.0])) is not None:
+            raise ValueError("batched sweep requires an atomless reference")
+        if not (ws.size and ws[0] > 0 and (ws == ws[0]).all()):
+            raise ValueError("batched sweep against a reference needs one positive weight")
+    u = np.array([1.0])
+    out = np.empty(sizes.size)
+    starts = np.cumsum(sizes) - sizes
+    per = max(1, (1 << 15) // max(1, int(sizes.max(initial=0))))
+    for lo in range(0, sizes.size, per):
+        rows = sizes[lo : lo + per]
+        start, stop = starts[lo], starts[lo] + rows.sum()
+        filled = np.arange(rows.max()) < rows[:, None]
+        block = np.full(filled.shape, np.inf)
+        block[filled] = xs[start:stop]
+        block_ws = np.zeros(filled.shape)
+        block_ws[filled] = ws[start:stop]
+        if ref is None:
+            _signed_row_sups(block, block_ws, out[lo : lo + per])
+        else:
+            block.sort(axis=1)
+            prefix = np.zeros((rows.size, filled.shape[1] + 1))
+            np.cumsum(block_ws, axis=1, out=prefix[:, 1:])
+            _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
+    return out
+
+
+def _signed_row_sups(xs: np.ndarray, ws: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the half-line sup of each row of positions ``xs``
+    with signed weights ``ws`` against the zero measure: ``_line_sup``'s
+    value, bit for bit.
+
+    Rows are sorted as ``_line_sup`` sorts: the default argsort, and the
+    stable one for rows with tied positions, so each prefix sum adds the
+    same weights in the same order.  (The +inf padding ties too, but its
+    weights are all 0.)  Signed prefix sums are not monotone inside a tie
+    group, so only the group's own masses are candidates: the weak one at
+    the group's last point and the strict one at its first.
+    """
+    order = np.argsort(xs, axis=1)
+    sorted_xs = np.take_along_axis(xs, order, axis=1)
+    last = np.ones(xs.shape, dtype=bool)
+    np.not_equal(sorted_xs[:, 1:], sorted_xs[:, :-1], out=last[:, :-1])
+    tied = (~last[:, :-1] & (sorted_xs[:, :-1] < np.inf)).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(xs[tied], axis=1, kind="stable")
+    prefix = np.zeros((xs.shape[0], xs.shape[1] + 1))
+    np.cumsum(np.take_along_axis(ws, order, axis=1), axis=1, out=prefix[:, 1:])
+    first = np.ones(xs.shape, dtype=bool)
+    first[:, 1:] = last[:, :-1]
+    weak = prefix[:, 1:]
+    strict = prefix[:, :-1]
+    dtot = prefix[:, -1]
+    out[:] = abs(dtot)
+    sups = _sweep_sups(
+        np.where(last, weak, -np.inf).max(axis=1),
+        np.where(last, weak, np.inf).min(axis=1),
+        np.where(first, strict, -np.inf).max(axis=1),
+        np.where(first, strict, np.inf).min(axis=1),
+        dtot,
+    )
+    for sup in sups:
+        np.maximum(out, sup, out=out)
 
 
 def _pair_normals(points: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from ppdepth import (
     sample_pattern,
     sample_sample,
 )
+from ppdepth.generators import draw_flat
 
 ALL_COUNT_LAWS = [
     FixedCount(3),
@@ -51,6 +52,48 @@ class TestRngStream:
         assert s.child("x", 1) == s.child("x", 1)
         assert s.child("x", 1) != s.child("x", 2)
         assert s.child("x", 12) != s.child("x1", 2)
+
+
+class TestChildGenerators:
+    """A block's reseated generator draws, replicate for replicate, the
+    bytes of a fresh ``child(*labels, r).generator()``."""
+
+    LAWS = [
+        (FixedCount(1), UniformBox([0.0], [1.0])),
+        (FixedCount(2), DiagonalGaussian([0.3], [0.2])),
+        (ShiftedPoisson(1.0), UniformBox([0.0], [1.0])),
+        (CoxMixture(atoms=((0.5, 0.25), (2.0, 0.5), (40.0, 0.25))), UniformBox([0.0], [1.0])),
+        (CoxMixture(log_mean=0.5, log_sigma=0.75), DiagonalGaussian([0.0, 1.0], [1.0, 3.0])),
+        (Pmf((0.2, 0.5, 0.3)), DiscretePoints([[0.1], [0.3], [0.9]], [0.5, 0.25, 0.25])),
+    ]
+    LABELS = [("ulln", 50), ("bound", 10_000), ("clt", 200), ("depth", 40), ("diag", 100)]
+
+    @staticmethod
+    def _draws(gen, count, disp):
+        """A runner's draws, then a 32-bit draw that leaves half a word
+        buffered for the next replicate to ignore."""
+        pts, sizes = draw_flat(5, count, disp, gen)
+        signs = gen.choice(np.array([-1.0, 1.0]), size=5)
+        odd = gen.integers(0, 2**31, size=3, dtype=np.int32)
+        return pts.tobytes() + sizes.tobytes() + signs.tobytes() + odd.tobytes()
+
+    @pytest.mark.parametrize("count,disp", LAWS)
+    def test_blocks_match_child_streams(self, count, disp):
+        for seed in (0, 20240817, 2**63 + 5, 2**64, 2**64 + 7, 3**70):
+            stream = RngStream(seed)
+            for labels in self.LABELS:
+                block = [
+                    self._draws(gen, count, disp)
+                    for gen in stream.child_generators(*labels, lo=3, hi=9)
+                ]
+                fresh = [
+                    self._draws(stream.child(*labels, r).generator(), count, disp)
+                    for r in range(3, 9)
+                ]
+                assert block == fresh
+
+    def test_empty_block_yields_nothing(self):
+        assert list(RngStream(1).child_generators("diag", 100, lo=4, hi=4)) == []
 
 
 class TestCountSampling:

@@ -1,9 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import ppdepth
+from ppdepth import RngStream, reference_for
+from ppdepth.generators import draw_flat
 from ppdepth.harness import (
     ConfigError,
     ResultRecord,
@@ -13,6 +19,8 @@ from ppdepth.harness import (
     run_experiment,
 )
 from ppdepth.harness.cli import main as cli_main
+from ppdepth.harness.runners import _diag_block, _over_replicates
+from ppdepth.measure import halfline_sup_weighted
 
 
 def base_config(**overrides):
@@ -64,6 +72,22 @@ class TestConfigParsing:
             build_config(base_config(n_grid=[]))
         with pytest.raises(ConfigError, match="epsilon_grid"):
             build_config(base_config(kind="bound"))
+
+    def test_tree_size_rule(self):
+        """A tree whose expected size, the sum of E[L]^j over its
+        generations j = 0 .. g, exceeds the vertex cap is refused when the
+        config is built.  At E[L] = 2, g = 22 (2^23 - 1 vertices) passes
+        and g = 23 does not; brw grows g = max(j_grid) + 3."""
+        tree = {"kind": "simulate", "target": "tree", "count": {"kind": "fixed", "k": 2}}
+        build_config(base_config(**tree, generations=22))
+        with pytest.raises(ConfigError, match="expected vertices"):
+            build_config(base_config(**tree, generations=23))
+        build_config(base_config(**{**tree, "target": "sample"}, generations=23))
+        brw = {"kind": "brw", "count": {"kind": "shifted_poisson", "lambda": 1.0}}
+        build_config(base_config(**brw, j_grid=[2, 19]))
+        for j_grid in ([20], [10**6]):
+            with pytest.raises(ConfigError, match="expected vertices"):
+                build_config(base_config(**brw, j_grid=j_grid))
 
     def test_hash_changes_with_content_but_not_threads(self):
         a = build_config(base_config(threads=1))
@@ -265,6 +289,41 @@ class TestRunners:
         assert rhs.value == pytest.approx(2.0)
         assert out.violations == 0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"count": {"kind": "shifted_poisson", "lambda": 1.0}, "n_grid": [100],
+             "replicates": 300},
+            {"disp": {"kind": "gaussian", "mean": [0.3], "std": [0.2]}, "n_grid": [1],
+             "replicates": 300},
+            {"count": {"kind": "pmf", "probs": [0.2, 0.5, 0.3]},
+             "disp": {"kind": "discrete", "points": [[0.1], [0.3], [0.9]],
+                      "weights": [0.5, 0.25, 0.25]}, "n_grid": [30], "replicates": 100},
+            {"count": {"kind": "shifted_poisson", "lambda": 1.0}, "n_grid": [3000],
+             "replicates": 24},
+        ],
+        ids=["poisson", "n-1", "discrete-ties", "long-samples"],
+    )
+    def test_diag_block_matches_per_replicate_sweeps(self, overrides, threads):
+        """The batched diag block gives, bit for bit, one
+        ``halfline_sup_weighted`` per replicate and kind, over several
+        replicate blocks and worker processes."""
+        config = build_config(base_config(kind="diag", epsilon_grid=[0.5], **overrides))
+        ref = reference_for(config.count, config.disp)
+        n = config.n_grid[0]
+        devs, syms = [], []
+        for r in range(config.replicates):
+            gen = RngStream(config.seed).child("diag", n, r).generator()
+            pts, sizes = draw_flat(n, config.count, config.disp, gen)
+            devs.append(halfline_sup_weighted(pts[:, 0], np.full(pts.shape[0], 1.0 / n), ref))
+            signs = gen.choice(np.array([-1.0, 1.0]), size=n)
+            syms.append(halfline_sup_weighted(pts[:, 0], np.repeat(signs / n, sizes), None))
+        shared = (config.count, config.disp, ref, n, config.seed)
+        got_devs, got_syms = _over_replicates(_diag_block, shared, config, threads)
+        assert got_devs.tobytes() == np.array(devs).tobytes()
+        assert got_syms.tobytes() == np.array(syms).tobytes()
+
     def test_depth_runner_reports_domination(self):
         raw = base_config(
             kind="depth",
@@ -351,12 +410,16 @@ class TestCli:
             ("brw", {**BRW_GAUSSIAN, "theta_grid": [800]}),
             ("brw", {**BRW_GAUSSIAN, "fluct_theta": 30}),
             ("brw", {"count": {"kind": "fixed", "k": 100}, "j_grid": [40]}),
+            ("brw", {"count": {"kind": "fixed", "k": 2}, "j_grid": [40]}),
+            ("simulate", {"target": "tree", "count": {"kind": "fixed", "k": 2},
+                          "generations": 40}),
         ],
         ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
              "ulln-nan-rate", "bound-beta-nan", "bound-alpha-negative", "depth-box-inverted",
              "depth-box-not-pair", "depth-grid-zero", "depth-eval-dim", "ulln-count-list",
              "ulln-n-grid-fraction", "ulln-replicates-fraction", "brw-theta-overflow",
-             "brw-fluct-theta-overflow", "brw-tree-cap"],
+             "brw-fluct-theta-overflow", "brw-tree-cap", "brw-expected-tree-size",
+             "simulate-expected-tree-size"],
     )
     def test_bad_values_exit_one_with_one_line(self, tmp_path, capsys, kind, overrides):
         """Malformed values end in exit 1 and a one-line message, and no
@@ -368,6 +431,21 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("ppdepth: ")
         assert not (out_dir / f"{kind}.csv").exists()
+
+    def test_tree_over_cap_at_run_time_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A tree that outgrows the vertex cap while it is grown (the config
+        rule bounds only its expected size) still ends in exit 1 and one
+        line."""
+        from ppdepth.harness import runners
+
+        grow = runners.grow_tree
+        monkeypatch.setattr(runners, "grow_tree", lambda *a, **k: grow(*a, cap=10, **k))
+        cfg = self._write(tmp_path, base_config(
+            kind="simulate", target="tree", count={"kind": "fixed", "k": 2}, generations=6))
+        assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("ppdepth: tree exceeded the vertex cap 10")
 
     def test_refused_config_creates_no_out_dir(self, tmp_path, capsys):
         """A clt config with too few replicates is refused while the config is
@@ -464,3 +542,15 @@ class TestCli:
         lines = open(os.path.join(out_dir, "depth_queries.csv")).read().splitlines()
         assert lines[0] == "x1,x2,depth,dir1,dir2,exact,tie_count"
         assert float(lines[1].split(",")[2]) == 0.5
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    """Importing the CLI loads no ``scipy.special``: the Gaussian, Cox and
+    clt code paths import it on first use."""
+    src = os.path.dirname(os.path.dirname(ppdepth.__file__))
+    code = "import sys, ppdepth.harness.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"

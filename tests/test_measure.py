@@ -40,6 +40,7 @@ from ppdepth.measure import (
     _line_sup,
     _pair_normal_directions,
     _ref_line_sup,
+    halfline_sup_ragged,
     halfline_sup_rows,
     halfline_sup_weighted,
 )
@@ -553,6 +554,103 @@ class TestBatchedSweep:
         ref = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
         with pytest.raises(ValueError):
             halfline_sup_rows(np.zeros((2, 3)), 3, ref)
+
+
+class TestRaggedSweep:
+    """``halfline_sup_ragged`` equals ``halfline_sup_weighted`` on every
+    sample, bit for bit, against an atomless reference with weights 1/n and
+    against the zero measure with signed weights."""
+
+    REFS = (
+        reference_for(ShiftedPoisson(1.0), UNIFORM01),
+        reference_for(FixedCount(1), DiagonalGaussian([0.3], [0.2])),
+    )
+
+    @staticmethod
+    def _per_sample(xs, sizes, ws, ref):
+        ends = np.cumsum(sizes)
+        return np.array([
+            halfline_sup_weighted(xs[e - k : e], ws[e - k : e], ref)
+            for e, k in zip(ends, sizes)
+        ])
+
+    def _check(self, xs, sizes, ws, ref):
+        got = halfline_sup_ragged(xs, sizes, ws, ref)
+        assert got.tobytes() == self._per_sample(xs, sizes, ws, ref).tobytes()
+
+    @staticmethod
+    def _draw(rng, b, n, tied=False):
+        """b samples of n shifted-Poisson patterns: flat points, per-sample
+        point counts and the per-point Rademacher weights s_i / n."""
+        xs, sizes, signed = [], [], []
+        for _ in range(b):
+            counts = 1 + rng.poisson(1.0, size=n)
+            m = int(counts.sum())
+            pts = rng.choice([0.1, 0.3, 0.5, 0.9], size=m) if tied else rng.uniform(size=m)
+            xs.append(pts)
+            sizes.append(m)
+            signed.append(np.repeat(rng.choice([-1.0, 1.0], size=n) / n, counts))
+        return np.concatenate(xs), np.array(sizes), np.concatenate(signed)
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_ragged_poisson_samples(self, n):
+        rng = np.random.default_rng(60 + n)
+        for tied in (False, True):
+            xs, sizes, signed = self._draw(rng, 60, n, tied)
+            for ref in self.REFS:
+                self._check(xs, sizes, np.full(xs.size, 1.0 / n), ref)
+            self._check(xs, sizes, signed, None)
+
+    def test_all_same_sign_samples(self):
+        rng = np.random.default_rng(61)
+        xs, sizes, signed = self._draw(rng, 30, 9)
+        for sign in (1.0, -1.0):
+            self._check(xs, sizes, np.full(xs.size, sign / 9), None)
+        ends = np.cumsum(sizes)
+        mixed = np.concatenate([
+            np.full(k, 1.0 / 9) if i % 2 else signed[e - k : e]
+            for i, (e, k) in enumerate(zip(ends, sizes))
+        ])
+        self._check(xs, sizes, mixed, None)
+
+    def test_tied_discrete_points_with_signed_weights(self):
+        """Large tie groups with signed weights: only the stable order
+        reproduces each group's prefix sums, and only the group's first and
+        last points give candidates."""
+        rng = np.random.default_rng(62)
+        law = DiscretePoints([[0.0], [0.25], [0.5], [1.0]], [0.1, 0.4, 0.3, 0.2])
+        for n in (3, 7, 30):
+            xs, sizes, signed = self._draw(rng, 40, n)
+            xs = law.sample(rng, xs.size)[:, 0]
+            self._check(xs, sizes, signed, None)
+
+    def test_several_blocks(self):
+        """Samples of up to 5000 points go in blocks of a few samples each."""
+        rng = np.random.default_rng(63)
+        sizes = rng.integers(1, 5000, size=25)
+        xs = rng.uniform(size=int(sizes.sum()))
+        signed = rng.choice([-1.0, 1.0], size=xs.size) / 1000
+        self._check(xs, sizes, np.full(xs.size, 1.0 / 1000), self.REFS[0])
+        self._check(xs, sizes, signed, None)
+
+    def test_leaves_inputs_unchanged(self):
+        rng = np.random.default_rng(64)
+        xs, sizes, signed = self._draw(rng, 10, 5)
+        copies = xs.copy(), signed.copy()
+        halfline_sup_ragged(xs, sizes, signed, None)
+        halfline_sup_ragged(xs, sizes, np.full(xs.size, 0.2), self.REFS[0])
+        assert xs.tobytes() == copies[0].tobytes()
+        assert signed.tobytes() == copies[1].tobytes()
+
+    def test_rejects_bad_inputs(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        atomic = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
+        with pytest.raises(ValueError):
+            halfline_sup_ragged(xs, [3], np.full(3, 1 / 3), atomic)
+        with pytest.raises(ValueError):
+            halfline_sup_ragged(xs, [3], np.array([0.5, -0.5, 0.5]), self.REFS[0])
+        with pytest.raises(ValueError):
+            halfline_sup_ragged(xs, [2], np.full(3, 0.5), None)
 
 
 def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
