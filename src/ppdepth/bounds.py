@@ -481,7 +481,7 @@ def exponential_candidates(cls: FunctionClass, grid: int = 2048) -> list[Exponen
 
 def class_candidates(sample: Sample, cls: FunctionClass, **kwargs) -> list[EvalFunction]:
     """The canonical candidate grid representing ``cls`` on ``sample``."""
-    if cls.kind == "half_lines" or (cls.kind == "half_spaces" and cls.dim == 1):
+    if cls.is_half_lines:
         return halfline_candidates(sample)
     if cls.kind == "half_spaces" and cls.dim == 2:
         return halfplane_candidates(sample, **kwargs)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "deepest_point",
     "depth_sup_deviation",
     "batch_depth_queries",
-    "depth_rows_to_csv",
 ]
 
 _PROJ_TOL = 1e-12
@@ -244,9 +244,7 @@ def depth_approx(measure: ReferenceMeasure, x, k: int) -> DepthResult:
         raise ValueError("need at least one direction")
     x = np.asarray(x, dtype=float).reshape(-1)
     d = measure.dim
-    dirs = _sphere_directions(d, k)
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])[: max(1, min(k, 2))]
+    dirs = np.array([[1.0], [-1.0]])[: min(k, 2)] if d == 1 else _sphere_directions(d, k)
     if isinstance(measure, EmpiricalReference) and measure.sample.s_n <= 64 and d >= 2:
         pts = measure.sample.all_points()
         q = pts - x[None, :]
@@ -408,45 +406,52 @@ def depth_sup_deviation(sample: Sample, ref: ReferenceMeasure, eval_points) -> f
 # ---------------------------------------------------------------------------
 
 
+def _coordinates(values, what: str, d: int | None = None) -> np.ndarray:
+    """Equal-length lists of finite numbers (d each, if given) as an array."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != 2 or arr.size == 0 or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in arr.flat
+    ):
+        raise ValueError(f"{what} must be a nonempty list of equal-length lists of finite numbers")
+    if d is not None and arr.shape[1] != d:
+        raise ValueError(f"{what} have {arr.shape[1]} coordinates, not {d}")
+    return arr.astype(float)
+
+
+def _query_method(method, d: int):
+    """The depth function for ``method`` on d-dimensional points: ``exact1d``
+    (d = 1), ``exact2d`` (d = 2), ``approx`` or ``approx:K`` (K >= 1)."""
+    if method == "exact1d" and d == 1:
+        return lambda measure, xq: depth_1d(measure, float(xq[0]))
+    if method == "exact2d" and d == 2:
+        return depth_2d_exact
+    k = method[len("approx:"):] if isinstance(method, str) and method.startswith("approx:") else ""
+    if method == "approx" or (k.isascii() and k.isdigit() and int(k) >= 1):
+        return lambda measure, xq: depth_approx(measure, xq, int(k or 1024))
+    raise ValueError(f"method {method!r} is none of exact1d, exact2d, approx[:K] for {d}-d points")
+
+
 def batch_depth_queries(payload: dict) -> list[dict]:
     """Run a depth query batch {"points": [...], "queries": [...], "method": m}.
 
     ``method`` is one of ``exact1d``, ``exact2d``, or ``approx:K``.  The point
     set becomes an empirical measure with one pattern per point (each point
     carries weight 1/m).  Returns one row per query with keys x1..xd, depth,
-    dir1..dird, exact, tie_count.
+    dir1..dird, exact, tie_count.  Anything but finite (count, d) points and
+    queries of one d and a method that fits d raises ValueError.
     """
-    pts = np.atleast_2d(np.asarray(payload["points"], dtype=float))
-    queries = np.atleast_2d(np.asarray(payload["queries"], dtype=float))
-    method = payload.get("method", "exact2d")
+    pts = _coordinates(payload["points"], "points")
+    queries = _coordinates(payload["queries"], "queries", pts.shape[1])
+    depth_of = _query_method(payload.get("method", "exact2d"), pts.shape[1])
     measure = EmpiricalReference(Sample(pts, np.ones(pts.shape[0], dtype=np.int64)))
     rows = []
     for xq in queries:
-        if method == "exact1d":
-            res = depth_1d(measure, float(xq[0]))
-        elif method == "exact2d":
-            res = depth_2d_exact(measure, xq)
-        elif method.startswith("approx"):
-            k = int(method.split(":", 1)[1]) if ":" in method else 1024
-            res = depth_approx(measure, xq, k)
-        else:
-            raise ValueError(f"unknown depth method {method!r}")
-        row = {f"x{i + 1}": float(v) for i, v in enumerate(xq)}
-        row["depth"] = res.depth
-        row.update({f"dir{i + 1}": float(v) for i, v in enumerate(res.direction)})
-        row["exact"] = res.exact
-        row["tie_count"] = res.tie_count
-        rows.append(row)
+        res = depth_of(measure, xq)
+        rows.append({
+            **{f"x{i + 1}": float(v) for i, v in enumerate(xq)},
+            "depth": res.depth,
+            **{f"dir{i + 1}": float(v) for i, v in enumerate(res.direction)},
+            "exact": res.exact,
+            "tie_count": res.tie_count,
+        })
     return rows
-
-
-def depth_rows_to_csv(rows: list[dict], path) -> None:
-    import csv
-
-    if not rows:
-        raise ValueError("no depth results to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -212,6 +212,11 @@ class FunctionClass:
         if self.bound <= 0:
             raise ValueError("class bound must be positive")
 
+    @property
+    def is_half_lines(self) -> bool:
+        """Closed half-lines on R: ``half_lines()`` or ``half_spaces(1)``."""
+        return self.kind == "half_lines" or (self.kind == "half_spaces" and self.dim == 1)
+
 
 def half_lines() -> FunctionClass:
     """Closed half-lines {x <= t} and {x >= t} on R; v = 2."""

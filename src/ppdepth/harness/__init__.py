@@ -5,7 +5,6 @@ from .config import (
     ExperimentConfig,
     build_config,
     config_hash,
-    load_config,
 )
 from .records import ResultRecord, emit
 from .runners import (
@@ -28,7 +27,6 @@ __all__ = [
     "build_config",
     "config_hash",
     "emit",
-    "load_config",
     "run_bound",
     "run_brw",
     "run_clt",

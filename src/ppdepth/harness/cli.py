@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         print(f"ppdepth: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "depth" and "queries" in raw:
+    if args.command == "depth" and isinstance(raw, dict) and "queries" in raw:
         return _run_depth_batch(raw, args)
 
     try:

@@ -43,7 +43,7 @@ from ..generators import (
     UniformBox,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "config_hash", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "config_hash"]
 
 EXPERIMENT_KINDS = ("ulln", "clt", "bound", "depth", "brw", "diag", "simulate")
 
@@ -208,7 +208,7 @@ class ExperimentConfig:
         elif self.kind == "brw":
             self._check_brw()
         elif self.kind == "diag" and (
-            self.disp.dim != 1 or self.function_class.kind != "half_lines"
+            self.disp.dim != 1 or not self.function_class.is_half_lines
         ):
             raise ConfigError("diag experiments use half-lines on the real line")
         elif self.kind == "simulate":
@@ -349,17 +349,6 @@ def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed {key} {raw[key]!r}: {exc}") from exc
     return ExperimentConfig(effective_kind, count, disp, cls, raw=raw, **values)
-
-
-def load_config(path, kind: str | None = None) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return build_config(raw, kind)
 
 
 def config_hash(config: ExperimentConfig) -> str:

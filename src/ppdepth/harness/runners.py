@@ -170,13 +170,8 @@ def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
     other sample goes through ``sup_deviation``."""
     count, disp, cls, ref, n, seed, tag = shared
     gens = RngStream(seed).child_generators(tag, n, lo=lo, hi=hi)
-    fixed_1d = (
-        isinstance(count, FixedCount)
-        and disp.dim == 1
-        and cls.kind in ("half_lines", "half_spaces")
-        and cls.dim == 1
-        and ref.line_atoms(np.array([1.0])) is None
-    )
+    fixed_1d = (isinstance(count, FixedCount) and disp.dim == 1
+                and cls.is_half_lines and ref.atoms() is None)
     out = np.empty(hi - lo)
     if fixed_1d:
         m = count.k * n
@@ -526,18 +521,16 @@ def _diag_block(shared, lo: int, hi: int):
     points, sizes, signed = [], [], []
     for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
         pts, counts = draw_flat(n, count, disp, gen)
-        signs = gen.choice(np.array([-1.0, 1.0]), size=n)
+        signs = np.array([-1.0, 1.0])[gen.integers(0, 2, size=n)]
         points.append(pts[:, 0])
         sizes.append(pts.shape[0])
         signed.append(np.repeat(signs / n, counts))
     xs = np.concatenate(points)
     weights = np.full(xs.size, 1.0 / n)
-    if ref.line_atoms(np.array([1.0])) is None:
+    if ref.atoms() is None:
         devs = halfline_sup_ragged(xs, sizes, weights, ref)
     else:
-        devs = np.array([
-            halfline_sup_weighted(p, weights[: p.size], ref) for p in points
-        ])
+        devs = np.array([halfline_sup_weighted(p, weights[: p.size], ref) for p in points])
     syms = halfline_sup_ragged(xs, sizes, np.concatenate(signed), None)
     return devs, syms
 

@@ -8,13 +8,14 @@ with mu(f) = E[L] E[f(X)], or the empirical measure of another sample.
 ``sup_deviation`` computes sup_f |mu_n(f) - mu(f)| over a function class.
 For half-lines the supremum is exact: it is attained (or approached one
 sidedly) at data points, at atoms of the reference, or in the tails, and both
-closed orientations are scanned.  For half-planes the scan enumerates all
-pair-normal directions with small angular perturbations on both sides.  That
-is exact (up to boundary ties) against an empirical reference, whose mass
+closed orientations are scanned.  For half-planes the scan enumerates the
+pair-normal directions of the sample points and the reference's atoms, with
+small angular perturbations on both sides.  That is exact (up to boundary
+ties) against a purely atomic reference (``ReferenceMeasure.atoms``: an
+empirical measure or a discrete law), whose difference with the sample
 changes only at those directions; against any other reference the sup can
-lie inside an arc between them, so the result is flagged as a lower bound.
-In dimension three and above the result is a flagged lower bound over
-sampled directions.
+lie inside an arc between them, so the result is flagged as a lower bound,
+as it is over the sampled directions of dimension three and above.
 
 Every half-line sweep takes its empirical masses from one rule: ``prefix``
 holds the m + 1 prefix sums of the sorted weights with a leading 0
@@ -24,6 +25,7 @@ strict mass (-inf, x) is ``prefix[#points < x]``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,9 +122,14 @@ class ReferenceMeasure:
         ``DisplacementLaw.projection_cdf`` does."""
         raise NotImplementedError
 
+    def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(points, masses) of a purely atomic reference, else None."""
+        return None
+
     def line_atoms(self, u: np.ndarray) -> np.ndarray | None:
         """Projected atom positions along u when atomic, else None."""
-        return None
+        atoms = self.atoms()
+        return None if atoms is None else atoms[0] @ np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -143,12 +150,10 @@ class MixedBinomialReference(ReferenceMeasure):
     def line_mass(self, u, s, strict=False):
         return self.total_mass * self.disp.projection_cdf(u, s, strict=strict)
 
-    def line_atoms(self, u):
+    def atoms(self):
+        """Each atom of a discrete displacement law at mass E[L] * weight."""
         atoms = self.disp.atoms()
-        if atoms is None:
-            return None
-        pts, _ = atoms
-        return pts @ np.asarray(u, dtype=float)
+        return None if atoms is None else (atoms[0], self.total_mass * atoms[1])
 
     def pattern_covariance(self, f: EvalFunction, g: EvalFunction) -> float:
         """Cov[Y(f), Y(g)] for one pattern: E[L] Cov[f, g] + Var[L] E[f] E[g]."""
@@ -185,8 +190,10 @@ class EmpiricalReference(ReferenceMeasure):
         out = counts / self.sample.n
         return out if np.ndim(s) else float(out)
 
-    def line_atoms(self, u):
-        return self.sample.all_points() @ np.asarray(u, dtype=float)
+    def atoms(self):
+        """Every point of the sample at mass 1/n."""
+        pts = self.sample.all_points()
+        return pts, np.full(pts.shape[0], 1.0 / self.sample.n)
 
 
 def reference_for(count: CountLaw, disp: DisplacementLaw) -> MixedBinomialReference:
@@ -408,7 +415,7 @@ def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.nda
     points, so each block's deviations stay in cache and ``rows`` is never
     copied whole.
     """
-    if ref.line_atoms(np.array([1.0])) is not None:
+    if ref.atoms() is not None:
         raise ValueError("batched sweep requires an atomless reference")
     rows = np.asarray(rows, dtype=float)
     b, m = rows.shape
@@ -444,7 +451,7 @@ def halfline_sup_ragged(
     if ws.shape != xs.shape or xs.ndim != 1 or xs.size != sizes.sum():
         raise ValueError("one weight per point and sizes summing to the points required")
     if ref is not None:
-        if ref.line_atoms(np.array([1.0])) is not None:
+        if ref.atoms() is not None:
             raise ValueError("batched sweep requires an atomless reference")
         if not (ws.size and ws[0] > 0 and (ws == ws[0]).all()):
             raise ValueError("batched sweep against a reference needs one positive weight")
@@ -561,18 +568,15 @@ def _golden_section(f, lo: float, hi: float, tol: float):
 
 
 def _sphere_directions(dim: int, k: int) -> np.ndarray:
-    """A deterministic prefix sequence of k roughly uniform unit directions."""
-    if dim == 1:
-        return np.array([[1.0]] * min(k, 1))
+    """A deterministic prefix of k roughly uniform unit directions, dim >= 2."""
     if dim == 2:
         golden = math.pi * (3.0 - math.sqrt(5.0))
         ang = golden * np.arange(k)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     sobol = qmc.Sobol(d=dim, scramble=True, seed=20210607)
-    from scipy.special import ndtri
-
     raw = sobol.random(k)
     z = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
@@ -580,25 +584,43 @@ def _sphere_directions(dim: int, k: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-def _atomless_direction_sups(
+def _direction_sups(
     pts: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, dirs: np.ndarray
-) -> np.ndarray:
-    """``_ref_line_sup``'s value for every direction of ``dirs``, against an
-    atomless reference and the equal weights ``ws`` (1/n each).
+) -> tuple[np.ndarray, float]:
+    """``_ref_line_sup``'s value for every direction of ``dirs`` (points
+    ``pts`` at weights ``ws``, 1/n each), and a bound on the gap between them.
 
-    Directions go in blocks of about 2^15 projected values: one batched
-    matrix-vector product (row i is ``pts @ dirs[i]``, the same BLAS call),
-    a row-wise sort and one ``_sorted_row_sups`` call per block.
+    Directions go in blocks of about 2^15 projected values; row i is ``pts @
+    dirs[i]``, the one-direction sweep's BLAS call (one product over sample
+    and atoms together would move last bits).  Atomless references go to
+    ``_sorted_row_sups``, bit for bit.  Against atoms, their projections
+    follow each row at weights -mass, for ``_signed_row_sups``.  Both sweeps
+    add at most k = m + a weights per prefix sum and take two differences,
+    so they differ by at most 2 (k + 2) eps per unit of total weight; the
+    bound takes twice that, plus the gap between the declared total mass
+    and the atoms' sum, which the one-direction sweep takes for it.
     """
-    prefix = _prefix(ws)
+    atoms = ref.atoms()
+    if atoms is None:
+        prefix, width, bound = _prefix(ws), pts.shape[0], 0.0
+    else:
+        atom_pts, masses = atoms
+        signed = np.concatenate([ws, -masses])
+        width = signed.size
+        weight = (float(ws.sum() + masses.sum()) + ref.total_mass) * np.finfo(float).eps
+        bound = 4.0 * (width + 2) * weight + abs(float(masses.sum()) - ref.total_mass)
     out = np.empty(len(dirs))
-    per = max(1, (1 << 15) // pts.shape[0])
+    per = max(1, (1 << 15) // width)
     for lo in range(0, len(dirs), per):
         block = dirs[lo : lo + per]
         proj = np.matmul(pts, block[:, :, None])[:, :, 0]
-        proj.sort(axis=1)
-        _sorted_row_sups(proj, block, prefix, ref, out[lo : lo + per])
-    return out
+        if atoms is None:
+            proj.sort(axis=1)
+            _sorted_row_sups(proj, block, prefix, ref, out[lo : lo + per])
+        else:
+            rows = np.concatenate([proj, np.matmul(atom_pts, block[:, :, None])[:, :, 0]], axis=1)
+            _signed_row_sups(rows, np.broadcast_to(signed, rows.shape), out[lo : lo + per])
+    return out, bound
 
 
 def _directional_sup(
@@ -607,30 +629,23 @@ def _directional_sup(
     """The largest ``_ref_line_sup`` over the directions ``dirs`` (the first
     direction that attains it) and its half-space.
 
-    Against an atomless reference all values come from
-    ``_atomless_direction_sups`` and only the maximizing direction is swept
-    again, for its threshold and orientation.  A reference with atoms (an
-    empirical reference or a discrete law) adds its projected atoms to each
-    direction's scan, so it keeps one ``_ref_line_sup`` per direction.
+    A direction that attains it has a ``_direction_sups`` value within twice
+    the bound of the largest one, so only those are swept again, in order,
+    keeping the first maximum: one sweep per direction's result, bit for bit.
     """
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
-    if ref.line_atoms(dirs[0]) is None:
-        u = dirs[int(np.argmax(_atomless_direction_sups(pts, ws, ref, dirs)))]
-        value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
-    else:
-        best = (-1.0, None, None, None)
-        for u in dirs:
-            value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
-            if value > best[0]:
-                best = (value, u, t, orient)
-        value, u, t, orient = best
-    direction = orient * u
+    vals, bound = _direction_sups(pts, ws, ref, dirs)
+    best = None
+    for u in dirs[vals >= vals.max() - 2.0 * bound]:
+        swept = _ref_line_sup(pts @ u, ws, ref, u)
+        if best is None or swept[0] > best[0][0]:
+            best = swept, u
+    (value, t, orient), u = best
     if not math.isfinite(t):
         # tail candidate: the half-space degenerates to R^d or the empty set
         t = math.copysign(1e300, t)
-    boundary_point = t * u
-    return value, HalfSpaceIndicator(boundary_point, direction)
+    return value, HalfSpaceIndicator(t * u, orient * u)
 
 
 def _exponential_sup(
@@ -674,37 +689,33 @@ def sup_deviation(
     """sup_f |mu_n(f) - mu(f)| over the class, with the achieving function.
 
     Exact for half-lines, and (up to boundary ties) for half-planes against
-    an empirical reference; a flagged lower bound for half-planes against any
-    other reference (pair-normal directions only) and from ``directions``
-    sampled directions in dimension >= 3.
+    a purely atomic reference; a flagged lower bound for half-planes against
+    any other reference (pair-normal directions only) and from
+    ``directions`` sampled directions in dimension >= 3.
     """
     if ref.dim != sample.dim:
         raise ValueError("sample and reference dimensions differ")
     kind = cls.kind
-    if kind == "half_lines" or (kind == "half_spaces" and cls.dim == 1):
+    if cls.is_half_lines:
         if sample.dim != 1:
             raise ValueError("half-line classes need one-dimensional samples")
         xs = sample.all_points()[:, 0]
         ws = np.full(xs.shape, 1.0 / sample.n)
         value, t, orient = _ref_line_sup(xs, ws, ref, np.array([1.0]))
         return SupDeviation(value, HalfLineIndicator(t, orient), exact=True)
-    if kind == "half_spaces" and cls.dim == 2:
-        pts = sample.all_points()
-        if isinstance(ref, EmpiricalReference):
-            # empirical targets add their own critical directions
-            pts = np.concatenate([pts, ref.sample.all_points()], axis=0)
-        dirs = _pair_normal_directions(pts)
-        value, argmax = _directional_sup(sample, ref, dirs)
-        return SupDeviation(value, argmax, exact=isinstance(ref, EmpiricalReference))
     if kind == "half_spaces":
-        dirs = _sphere_directions(cls.dim, directions)
         pts = sample.all_points()
-        if sample.s_n <= 64 and cls.dim == 3:
-            extra = _hyperplane_normals_3d(pts)
-            if extra.size:
-                dirs = np.concatenate([dirs, extra], axis=0)
+        atoms = ref.atoms()
+        if cls.dim == 2:  # atomic targets add their own critical directions
+            dirs = _pair_normal_directions(pts if atoms is None else np.concatenate([pts, atoms[0]]))
+        else:
+            dirs = _sphere_directions(cls.dim, directions)
+            if sample.s_n <= 64 and cls.dim == 3:
+                extra = _hyperplane_normals_3d(pts)
+                if extra.size:
+                    dirs = np.concatenate([dirs, extra], axis=0)
         value, argmax = _directional_sup(sample, ref, dirs)
-        return SupDeviation(value, argmax, exact=False)
+        return SupDeviation(value, argmax, exact=cls.dim == 2 and atoms is not None)
     if kind == "exponentials":
         return _exponential_sup(sample, cls, ref)
     if kind == "finite_list":
@@ -719,13 +730,10 @@ def sup_deviation(
 
 def _hyperplane_normals_3d(points: np.ndarray) -> np.ndarray:
     """Normals of planes through triples of data points (dimension 3)."""
-    m = points.shape[0]
     normals = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                n = np.cross(points[j] - points[i], points[k] - points[i])
-                norm = np.linalg.norm(n)
-                if norm > 1e-12:
-                    normals.append(n / norm)
+    for i, j, k in itertools.combinations(range(points.shape[0]), 3):
+        n = np.cross(points[j] - points[i], points[k] - points[i])
+        norm = np.linalg.norm(n)
+        if norm > 1e-12:
+            normals.append(n / norm)
     return np.asarray(normals) if normals else np.empty((0, 3))

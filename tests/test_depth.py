@@ -27,7 +27,8 @@ from ppdepth import (
     sample_sample,
     sup_deviation,
 )
-from ppdepth.depth import _smooth_depth_2d, depth_rows_to_csv
+from ppdepth.depth import _smooth_depth_2d
+from ppdepth.harness.cli import main as cli_main
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -357,10 +358,12 @@ class TestBatchQueries:
         assert rows[1]["depth"] == 0.0
         assert set(rows[0]) == {"x1", "x2", "depth", "dir1", "dir2", "exact", "tie_count"}
         assert rows[0]["exact"] is True
-        path = tmp_path / "depth.csv"
-        depth_rows_to_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,depth,dir1,dir2,exact,tie_count"
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps(payload))
+        assert cli_main(["depth", "--config", str(config), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "depth_queries.csv").read_text().splitlines()
+        assert lines[0] == "x1,x2,depth,dir1,dir2,exact,tie_count"
+        assert lines[1].split(",")[5] == "true"
 
     def test_json_payload_from_disk(self, tmp_path):
         path = tmp_path / "query.json"

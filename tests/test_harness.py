@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from ppdepth.harness import (
     emit,
     run_experiment,
 )
+from ppdepth import measure
+from ppdepth.harness import cli, runners
 from ppdepth.harness.cli import main as cli_main
 from ppdepth.harness.runners import _diag_block, _over_replicates
 from ppdepth.measure import halfline_sup_weighted
@@ -324,6 +328,20 @@ class TestRunners:
         assert got_devs.tobytes() == np.array(devs).tobytes()
         assert got_syms.tobytes() == np.array(syms).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 20240817, 2**63 + 5])
+    def test_diag_sign_draws_match_choice(self, seed):
+        """The diag block's Rademacher signs, drawn by indexing with
+        ``integers(0, 2)``, are the bytes that ``choice`` of the two signs
+        draws, and leave the generator where ``choice`` leaves it."""
+        signs = np.array([-1.0, 1.0])
+        for n in (1, 2, 3, 7, 100, 1000, 10**5):
+            by_choice = RngStream(seed).child("diag", n, 0).generator()
+            by_index = RngStream(seed).child("diag", n, 0).generator()
+            want = by_choice.choice(signs, size=n)
+            assert signs[by_index.integers(0, 2, size=n)].tobytes() == want.tobytes()
+            assert by_index.random(3).tobytes() == by_choice.random(3).tobytes()
+            assert by_index.integers(0, 2, size=5).tobytes() == by_choice.integers(0, 2, size=5).tobytes()
+
     def test_depth_runner_reports_domination(self):
         raw = base_config(
             kind="depth",
@@ -530,6 +548,55 @@ class TestCli:
         tree = load_tree(os.path.join(out_dir, "tree.ndjson"))
         assert tree.gen_sizes() == (1, 2, 4, 8)
 
+    def test_diag_accepts_one_dimensional_half_spaces(self, tmp_path):
+        """half_spaces with dim 1 are half-lines: diag runs it and writes the
+        value columns of a half_lines run."""
+        columns = []
+        for cls in ({"kind": "half_lines"}, {"kind": "half_spaces", "dim": 1}):
+            cfg = self._write(tmp_path, base_config(
+                kind="diag", function_class=cls, epsilon_grid=[0.5], replicates=20))
+            out_dir = tmp_path / cls["kind"]
+            assert cli_main(["diag", "--config", cfg, "--out", str(out_dir)]) == 0
+            rows = (out_dir / "diag.csv").read_text().splitlines()
+            header = rows[0].split(",")
+            keep = [i for i, name in enumerate(header) if name != "config_hash"]
+            columns.append([[row.split(",")[i] for i in keep] for row in rows])
+        assert columns[0] == columns[1]
+
+    DIAMOND = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"points": DIAMOND, "queries": [[float("nan"), 0]], "method": "exact2d"},
+            {"points": DIAMOND, "queries": [[0, float("inf")]], "method": "approx:8"},
+            {"points": [[0], [1]], "queries": [[None]], "method": "exact1d"},
+            {"points": DIAMOND, "queries": [[0, 0]], "method": 5},
+            {"points": DIAMOND, "queries": [[0, 0]], "method": "approx:0"},
+            {"points": DIAMOND, "queries": [[0, 0]], "method": "approximately"},
+            {"points": DIAMOND, "queries": [[0, 0, 0]], "method": "exact2d"},
+            {"points": [[0], [1]], "queries": [[0.5, 1.0]], "method": "exact1d"},
+            {"points": DIAMOND, "queries": [[0, "0"]], "method": "exact2d"},
+            {"points": DIAMOND, "queries": [[0], [0, 1]], "method": "exact2d"},
+            {"points": DIAMOND, "queries": [], "method": "exact2d"},
+            {"points": [[float("nan"), 0]], "queries": [[0, 0]], "method": "exact2d"},
+        ],
+        ids=["nan-query", "inf-query", "null-query", "method-number", "approx-zero",
+             "method-unknown", "query-dim", "exact1d-dim", "query-string", "query-ragged",
+             "no-queries", "nan-point"],
+    )
+    def test_bad_depth_batch_exits_one_with_one_line(self, tmp_path, capsys, payload):
+        """A depth query batch that is not finite numeric (count, d) points
+        and queries of one d, with a known method, ends in exit 1 and a
+        one-line message, and writes no file."""
+        cfg = self._write(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert cli_main(["depth", "--config", cfg, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("ppdepth: ")
+        assert not out_dir.exists()
+
     def test_depth_batch_mode(self, tmp_path):
         raw = {
             "points": [[1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -554,3 +621,23 @@ def test_cli_import_leaves_scipy_special_unloaded():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """The benchmark's tracer patches ppdepth names (for example
+    ``runners.halfline_sup_weighted`` and ``EmpiricalReference.line_mass``):
+    it installs on the current tree and puts every original back."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = (runners, cli, measure.MixedBinomialReference, measure.EmpiricalReference)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert runners.halfline_sup_weighted is not before[0]["halfline_sup_weighted"]
+        assert measure.EmpiricalReference.line_mass is not before[3]["line_mass"]
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before

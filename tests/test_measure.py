@@ -35,7 +35,7 @@ from ppdepth import (
     sup_deviation,
 )
 from ppdepth.measure import (
-    _atomless_direction_sups,
+    _direction_sups,
     _directional_sup,
     _line_sup,
     _pair_normal_directions,
@@ -455,17 +455,25 @@ class TestSupDeviationOtherClasses:
             sup_deviation(s, half_lines(), ref)
 
 
+DISCRETE_2D = DiscretePoints(
+    [[0.0, 0.0], [0.25, 0.5], [0.5, 0.25], [1.0, 1.0], [0.75, 0.0]],
+    [0.1, 0.2, 0.3, 0.25, 0.15],
+)
+
+
 class TestBlockedDirectionalSup:
-    """The planar sup against an atomless reference sweeps blocks of
-    directions at once; value, boundary point and direction equal those of
-    the one-direction-at-a-time loop below, ties included."""
+    """The planar sup sweeps blocks of directions at once, against atomless
+    and purely atomic references alike; value, boundary point and direction
+    equal those of the one-direction-at-a-time loop below, ties included."""
 
     @staticmethod
     def _loop(sample, ref):
         pts = sample.all_points()
+        atoms = ref.atoms()
+        critical = pts if atoms is None else np.concatenate([pts, atoms[0]])
         ws = np.full(pts.shape[0], 1.0 / sample.n)
         best = (-1.0, None, None, None)
-        for u in _pair_normal_directions(pts):
+        for u in _pair_normal_directions(critical):
             value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
             if value > best[0]:
                 best = (value, u, t, orient)
@@ -474,24 +482,40 @@ class TestBlockedDirectionalSup:
             t = math.copysign(1e300, t)
         return value, HalfSpaceIndicator(t * u, orient * u)
 
+    @staticmethod
+    def _lattice(s):
+        return Sample(np.round(s.all_points() * 4.0) / 4.0, s.sizes())
+
     @pytest.mark.parametrize("m", [4, 8, 40])
     @pytest.mark.parametrize("disp", [
         UniformBox([0.0, 0.0], [1.0, 1.0]),
         UniformBox([-1.0, 0.0], [2.0, 0.5]),
         DiagonalGaussian([0.3, -0.2], [1.0, 3.0]),
-    ], ids=["unit-square", "box", "gaussian"])
+        DISCRETE_2D,
+    ], ids=["unit-square", "box", "gaussian", "discrete"])
     def test_matches_per_direction_loop(self, m, disp):
+        """Against the law and against the empirical measure of a second
+        sample, on continuous samples and on samples with coordinates on a
+        1/4 lattice (tied projections).  Samples of the discrete law sit on
+        its atoms; their continuous variant is moved off them by a
+        uniform jitter."""
         for count, n in ((FixedCount(1), m), (ShiftedPoisson(1.0), m // 2)):
-            ref = reference_for(count, disp)
+            law = reference_for(count, disp)
             for seed in range(4 if m < 40 else 2):
                 s = sample_sample(n, count, disp, RngStream(seed, m))
-                if seed % 2:  # coordinates on a 1/4 lattice: tied projections
-                    s = Sample(np.round(s.all_points() * 4.0) / 4.0, s.sizes())
-                res = sup_deviation(s, half_spaces(2), ref)
-                value, argmax = self._loop(s, ref)
-                assert res.value == value
-                assert res.argmax.point.tobytes() == argmax.point.tobytes()
-                assert res.argmax.direction.tobytes() == argmax.direction.tobytes()
+                other = sample_sample(max(2, n // 4), count, disp, RngStream(seed, m).child("ref"))
+                if seed % 2:
+                    s, other = self._lattice(s), self._lattice(other)
+                elif disp is DISCRETE_2D:
+                    jitter = RngStream(seed, m).child("jitter").generator()
+                    s = Sample(s.all_points() + jitter.uniform(-0.1, 0.1, (s.s_n, 2)), s.sizes())
+                for ref in (law, EmpiricalReference(other)):
+                    res = sup_deviation(s, half_spaces(2), ref)
+                    value, argmax = self._loop(s, ref)
+                    assert res.exact == (ref.atoms() is not None)
+                    assert res.value == value
+                    assert res.argmax.point.tobytes() == argmax.point.tobytes()
+                    assert res.argmax.direction.tobytes() == argmax.direction.tobytes()
 
     def test_blocks_split_directions(self):
         """More directions than one block holds: 40 points give 2,340
@@ -503,9 +527,72 @@ class TestBlockedDirectionalSup:
         dirs = _pair_normal_directions(pts)
         assert len(dirs) > (1 << 15) // pts.shape[0]
         ws = np.full(pts.shape[0], 1.0 / s.n)
-        got = _atomless_direction_sups(pts, ws, ref, dirs)
+        got, bound = _direction_sups(pts, ws, ref, dirs)
+        assert bound == 0.0
         want = [_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
         assert got.tolist() == want
+
+    def test_lattice_atoms_match_per_direction_loop(self):
+        """Sample points and atoms of a discrete law on a 1/4 lattice tie in
+        projection, so the blocks must project both as the one-direction
+        sweep does: projecting them as one array moves last bits, and the
+        case of seed 29 then returns 1.4 in place of 2."""
+        for seed in range(1, 40, 2):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 12))
+            pts = np.round(rng.uniform(size=(m, 2)) * 4) / 4
+            a = int(rng.integers(1, 7))
+            atoms = np.round(rng.uniform(size=(a, 2)) * 4) / 4
+            weights = rng.dirichlet(np.ones(a))
+            count = FixedCount(1) if seed % 3 == 1 else ShiftedPoisson(0.5)
+            sizes = np.ones(m, dtype=np.int64)
+            if seed % 3 != 1 and m >= 4:
+                sizes = np.ones(m // 2, dtype=np.int64)
+                sizes[0] += m - sizes.sum()
+            s = Sample(pts, sizes)
+            ref = reference_for(count, DiscretePoints(atoms, weights / weights.sum()))
+            res = sup_deviation(s, half_spaces(2), ref)
+            value, argmax = self._loop(s, ref)
+            assert res.value == value
+            assert res.argmax.point.tobytes() == argmax.point.tobytes()
+            assert res.argmax.direction.tobytes() == argmax.direction.tobytes()
+
+    @staticmethod
+    def _dense_scan(sample, ref, k=20_000):
+        """The largest |mu_n(H) - mu(H)| over the whole plane and the closed
+        half-planes {<y, u> <= t} for k equally spaced u and every t at a
+        projected sample point or atom, by direct counting."""
+        phi = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+        u = np.stack([np.cos(phi), np.sin(phi)])
+        proj = sample.all_points() @ u
+        atom_proj = ref.disp.points @ u
+        t = np.concatenate([proj, atom_proj])
+        emp = (proj[None] <= t[:, None]).sum(axis=1) / sample.n
+        inside = (atom_proj[None] <= t[:, None]).astype(float)
+        mass = ref.total_mass * np.einsum("j,tjk->tk", ref.disp.weights, inside)
+        return max(float(np.abs(emp - mass).max()), abs(sample.s_n / sample.n - ref.total_mass))
+
+    def test_discrete_target_is_exact(self):
+        """200 seeded cases of 6 sample points against 5 atoms, on a 1/4
+        lattice for odd seeds, under fixed and shifted Poisson counts: the
+        planar sup is flagged exact and is never below a 20,000-direction
+        scan.  With only the sample's pair normals, 13 of these cases fell
+        short, by up to 0.23."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            atoms, pts = rng.uniform(size=(5, 2)), rng.uniform(size=(6, 2))
+            if seed % 2:
+                atoms, pts = np.round(atoms * 4) / 4, np.round(pts * 4) / 4
+            weights = rng.dirichlet(np.ones(5))
+            if seed % 4 < 2:
+                count, sizes = FixedCount(1), np.ones(6, dtype=np.int64)
+            else:
+                count, sizes = ShiftedPoisson(0.5), np.full(3, 2, dtype=np.int64)
+            ref = reference_for(count, DiscretePoints(atoms, weights / weights.sum()))
+            s = Sample(pts, sizes)
+            res = sup_deviation(s, half_spaces(2), ref)
+            assert res.exact
+            assert res.value >= self._dense_scan(s, ref) - 1e-12
 
 
 class TestExactLaw:
