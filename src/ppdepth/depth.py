@@ -10,14 +10,16 @@ angles.  An independent brute-force oracle (point normals with tiny
 two-sided wobbles plus a large pseudo-random direction set) is provided for
 cross-validation, and a sampled-direction upper bound covers d >= 3.
 
-Boundary convention: half-spaces are closed, and empirical projections use
-an absolute tolerance of 1e-12 times the coordinate scale so that points on
-the boundary always count.
+Every mass comes from ``halfspace_mass``, one ``line_mass`` call per block of
+directions.  Half-spaces are closed: against every purely atomic measure
+(``ReferenceMeasure.atoms``: an empirical measure or a discrete law) offsets
+get a slack of 1e-12 times the coordinate scale, so boundary atoms count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ _PROJ_TOL = 1e-12
 _UNIT_TOL = 1e-9
 _ANGLE_TIE_TOL = 1e-8
 _WOBBLE = 1e-7
+_MAX_DIRECTIONS = 1 << 16  # of an approx:K batch query, far below memory
 
 
 @dataclass(frozen=True)
@@ -58,51 +61,42 @@ class DepthResult:
     tie_count: int
 
 
-def _unit(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"direction must be a unit vector, |u| = {norm}")
-    return u / norm
+def halfspace_mass(measure: ReferenceMeasure, x, u):
+    """Masses of the closed half-spaces through x with outward normal u.
 
-
-def halfspace_mass(measure: ReferenceMeasure, x, u) -> float:
-    """Mass of the closed half-space through x with outward normal u."""
-    u = _unit(u)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != measure.dim or u.size != measure.dim:
+    ``u`` is a unit vector or a (k, d) block of them, ``x`` a point or an
+    (m, d) array of points; the result has shape u.shape[:-1] +
+    x.shape[:-1], a float for one of each.  The block takes one
+    ``line_mass`` call.  Against a purely atomic measure each offset <x, u>
+    gets the slack _PROJ_TOL * max(1, max|proj|, |offset|), proj the atoms
+    projected on u."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(u)
+    norms = np.sqrt(np.vecdot(rows, rows))  # np.linalg.norm's float, row by row
+    if not np.abs(norms - 1.0).max() <= _UNIT_TOL:  # NaN fails too
+        bad = norms[~(np.abs(norms - 1.0) <= _UNIT_TOL)][0]
+        raise ValueError(f"direction must be a unit vector, |u| = {bad}")
+    rows = rows / norms[:, None]
+    if u.ndim > 2 or x.ndim not in (1, 2) or {rows.shape[1], x.shape[-1]} != {measure.dim}:
         raise ValueError("point, direction, and measure dimensions must agree")
-    offset = float(x @ u)
-    if isinstance(measure, EmpiricalReference):
-        proj = measure.sample.all_points() @ u
-        tol = _PROJ_TOL * max(1.0, float(np.abs(proj).max()), abs(offset))
-        return float(np.count_nonzero(proj <= offset + tol) / measure.sample.n)
-    return float(measure.line_mass(u, offset))
-
-
-def _tails_1d(measure: ReferenceMeasure, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of the closed tails (-inf, x] and [x, inf) at every point of
-    ``xs``.  Empirical tails count the points within the boundary tolerance
-    _PROJ_TOL * max(1, max|proj|, |x|) of each x by ``searchsorted``."""
-    if isinstance(measure, EmpiricalReference):
-        proj = np.sort(measure.sample.all_points()[:, 0])
-        tol = _PROJ_TOL * np.maximum(max(1.0, float(np.abs(proj).max())), np.abs(xs))
-        n = measure.sample.n
-        left = np.searchsorted(proj, xs + tol, side="right") / n
-        right = (proj.size - np.searchsorted(proj, xs - tol, side="left")) / n
-        return left, right
-    u = np.array([1.0])
-    left = np.asarray(measure.line_mass(u, xs), dtype=float)
-    right = measure.total_mass - np.asarray(measure.line_mass(u, xs, strict=True), dtype=float)
-    return left, right
+    offsets = np.vecdot(rows[:, None, :], np.atleast_2d(x))  # each the float of x @ u
+    atoms = measure.atoms()
+    if atoms is not None:
+        reach = np.array([np.abs(atoms[0] @ v).max(initial=0.0) for v in rows])
+        offsets += _PROJ_TOL * np.maximum(np.maximum(reach, 1.0)[:, None], np.abs(offsets))
+    masses = np.asarray(measure.line_mass(rows, offsets), dtype=float)
+    masses = masses.reshape(u.shape[:-1] + x.shape[:-1])
+    return masses if masses.ndim else float(masses)
 
 
 def depth_1d(measure: ReferenceMeasure, x: float) -> DepthResult:
-    """Exact depth on the line: the smaller of the two closed tail masses."""
+    """Exact depth on the line: the smaller of the two closed tail masses,
+    (-inf, x] along +1 and [x, inf) along -1."""
     if measure.dim != 1:
         raise ValueError("depth_1d needs a one-dimensional measure")
     x = float(np.asarray(x).reshape(()))
-    left, right = (float(v[0]) for v in _tails_1d(measure, np.array([x])))
+    left, right = (float(v) for v in halfspace_mass(measure, [x], [[1.0], [-1.0]]))
     if left <= right:
         depth, direction = left, np.array([1.0])
     else:
@@ -155,16 +149,16 @@ def _tukey_depth_2d(
     return best, direction, ties
 
 
-def depth_2d_exact(measure: EmpiricalReference, x) -> DepthResult:
-    """Exact planar depth of x for an empirical measure (angular sweep)."""
-    if not isinstance(measure, EmpiricalReference):
-        raise ValueError("the exact planar sweep needs an empirical measure")
+def depth_2d_exact(measure: ReferenceMeasure, x) -> DepthResult:
+    """Exact planar depth of x for a purely atomic measure (angular sweep
+    over its ``atoms``: an empirical measure or a discrete law)."""
+    atoms = measure.atoms()
+    if atoms is None:
+        raise ValueError("the exact planar sweep needs a purely atomic measure")
     if measure.dim != 2:
         raise ValueError("depth_2d_exact needs a two-dimensional measure")
     x = np.asarray(x, dtype=float).reshape(-1)
-    pts = measure.sample.all_points()
-    w = np.full(pts.shape[0], 1.0 / measure.sample.n)
-    depth, direction, ties = _tukey_depth_2d(pts, w, x)
+    depth, direction, ties = _tukey_depth_2d(*atoms, x)
     return DepthResult(depth, direction, exact=True, tie_count=ties)
 
 
@@ -176,6 +170,15 @@ def _wobbled(base: np.ndarray, partner: np.ndarray) -> list[np.ndarray]:
         norm = np.linalg.norm(v)
         if norm > 0:
             out.append(v / norm)
+    return out
+
+
+def _line_normals(q: np.ndarray) -> list[np.ndarray]:
+    """Both normals of the line along each unit row of q, each wobbled."""
+    out = []
+    for v in q:
+        normal = np.array([-v[1], v[0]])
+        out.extend(_wobbled(normal, v) + _wobbled(-normal, v))
     return out
 
 
@@ -203,10 +206,7 @@ def depth_oracle(points, x, weights=None, random_directions: int = 100_000) -> f
     if d == 1:
         dirs = [np.array([1.0]), np.array([-1.0])]
     elif d == 2:
-        for v in nonzero:
-            normal = np.array([-v[1], v[0]])
-            dirs.extend(_wobbled(normal, v))
-            dirs.extend(_wobbled(-normal, v))
+        dirs = _line_normals(nonzero)
     else:
         for i in range(nonzero.shape[0]):
             for j in range(i + 1, nonzero.shape[0]):
@@ -237,56 +237,47 @@ def depth_oracle(points, x, weights=None, random_directions: int = 100_000) -> f
 
 def depth_approx(measure: ReferenceMeasure, x, k: int) -> DepthResult:
     """Sampled-direction upper bound on the depth (low-discrepancy prefix
-    sequence, so the value is nonincreasing in k).  For small empirical
-    measures the critical point normals are added, which often makes the
-    bound sharp."""
+    sequence, so the value is nonincreasing in k).  For purely atomic
+    measures of at most 64 atoms the critical normals are added, which
+    often makes the bound sharp.  All directions take one
+    ``halfspace_mass`` block; the first minimal one is returned."""
     if k < 1:
         raise ValueError("need at least one direction")
     x = np.asarray(x, dtype=float).reshape(-1)
     d = measure.dim
     dirs = np.array([[1.0], [-1.0]])[: min(k, 2)] if d == 1 else _sphere_directions(d, k)
-    if isinstance(measure, EmpiricalReference) and measure.sample.s_n <= 64 and d >= 2:
-        pts = measure.sample.all_points()
+    atoms = measure.atoms()
+    if atoms is not None and atoms[0].shape[0] <= 64 and d in (2, 3):
+        pts = atoms[0]
         q = pts - x[None, :]
         lengths = np.linalg.norm(q, axis=1)
         q = q[lengths > 0] / lengths[lengths > 0, None]
-        extra: list[np.ndarray] = []
         if d == 2:
-            for v in q:
-                normal = np.array([-v[1], v[0]])
-                extra.extend(_wobbled(normal, v))
-                extra.extend(_wobbled(-normal, v))
-            diffs = pts[None, :, :] - pts[:, None, :]
-            for v in diffs.reshape(-1, 2):
+            extra = _line_normals(q)
+            for v in (pts[None, :, :] - pts[:, None, :]).reshape(-1, 2):
                 norm = np.linalg.norm(v)
                 if norm > 0:
-                    v = v / norm
-                    extra.append(np.array([-v[1], v[0]]))
-                    extra.append(np.array([v[1], -v[0]]))
+                    extra += [np.array([-v[1], v[0]]) / norm, np.array([v[1], -v[0]]) / norm]
         else:
-            for i in range(q.shape[0]):
-                for j in range(i + 1, q.shape[0]):
-                    normal = np.cross(q[i], q[j]) if d == 3 else None
-                    if normal is not None and np.linalg.norm(normal) > 1e-12:
-                        normal = normal / np.linalg.norm(normal)
-                        extra.extend(_wobbled(normal, q[i]))
-                        extra.extend(_wobbled(-normal, q[i]))
+            extra = []
+            for i, j in itertools.combinations(range(q.shape[0]), 2):
+                normal = np.cross(q[i], q[j])
+                norm = np.linalg.norm(normal)
+                if norm > 1e-12:
+                    extra += _wobbled(normal / norm, q[i]) + _wobbled(-normal / norm, q[i])
         if extra:
             dirs = np.concatenate([dirs, np.asarray(extra)], axis=0)
 
-    best, direction = math.inf, dirs[0]
-    for u in dirs:
-        mass = halfspace_mass(measure, x, u)
-        if mass < best:
-            best, direction = mass, u
-    return DepthResult(best, np.asarray(direction), exact=False, tie_count=1)
+    masses = halfspace_mass(measure, x, dirs)
+    best = int(np.argmin(masses))
+    return DepthResult(float(masses[best]), dirs[best], exact=False, tie_count=1)
 
 
 def _depth_value(measure: ReferenceMeasure, x: np.ndarray, k: int = 2048) -> float:
     if measure.dim == 1:
         return depth_1d(measure, float(x[0])).depth
     if measure.dim == 2:
-        if isinstance(measure, EmpiricalReference):
+        if measure.atoms() is not None:
             return depth_2d_exact(measure, x).depth
         return _smooth_depth_2d(measure, x)
     return depth_approx(measure, x, k).depth
@@ -388,11 +379,10 @@ def depth_sup_deviation(sample: Sample, ref: ReferenceMeasure, eval_points) -> f
             candidates.append(np.unique(atoms))
         candidates.append(np.array([x[0] for x in points]))
         grid = np.unique(np.concatenate(candidates))
-        # depth_1d's smaller closed tail, over the whole grid at once
-        ref_depth, emp_depth = (
-            np.where(left <= right, left, right)
-            for left, right in (_tails_1d(ref, grid), _tails_1d(emp, grid))
-        )
+        # depth_1d's smaller closed tail, over the whole grid at once: the
+        # +1 row of one block gives the left tails, the -1 row the right
+        tails = (halfspace_mass(m, grid[:, None], [[1.0], [-1.0]]) for m in (ref, emp))
+        ref_depth, emp_depth = (np.where(left <= right, left, right) for left, right in tails)
         return max(0.0, float(np.abs(ref_depth - emp_depth).max()))
     best = 0.0
     for x in points:
@@ -420,15 +410,19 @@ def _coordinates(values, what: str, d: int | None = None) -> np.ndarray:
 
 def _query_method(method, d: int):
     """The depth function for ``method`` on d-dimensional points: ``exact1d``
-    (d = 1), ``exact2d`` (d = 2), ``approx`` or ``approx:K`` (K >= 1)."""
+    (d = 1), ``exact2d`` (d = 2), ``approx`` or ``approx:K`` (1 <= K <=
+    _MAX_DIRECTIONS)."""
     if method == "exact1d" and d == 1:
         return lambda measure, xq: depth_1d(measure, float(xq[0]))
     if method == "exact2d" and d == 2:
         return depth_2d_exact
     k = method[len("approx:"):] if isinstance(method, str) and method.startswith("approx:") else ""
-    if method == "approx" or (k.isascii() and k.isdigit() and int(k) >= 1):
+    if method == "approx" or (k.isascii() and k.isdigit() and 1 <= int(k) <= _MAX_DIRECTIONS):
         return lambda measure, xq: depth_approx(measure, xq, int(k or 1024))
-    raise ValueError(f"method {method!r} is none of exact1d, exact2d, approx[:K] for {d}-d points")
+    raise ValueError(
+        f"method {method!r} is none of exact1d, exact2d, approx[:K] with "
+        f"1 <= K <= {_MAX_DIRECTIONS} for {d}-d points"
+    )
 
 
 def batch_depth_queries(payload: dict) -> list[dict]:

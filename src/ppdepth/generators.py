@@ -490,6 +490,12 @@ class UniformBox(DisplacementLaw):
         s = np.asarray(s, dtype=float)
         if u.ndim == 2:
             return self._block_cdf(u, s, strict)
+        if self.dim >= 3:
+            # the one-row block: a scalar s would take the libm power where
+            # an array takes numpy's vectorized one, which can differ in the
+            # last bit
+            out = self._block_cdf(u[None], s[None], strict)[0]
+            return out if out.ndim else float(out)
         lo = u * self.low
         hi = u * self.high
         if self.dim == 1 and u[0] != 0.0:
@@ -498,8 +504,8 @@ class UniformBox(DisplacementLaw):
         base = float(np.minimum(lo, hi).sum())
         widths = np.abs(hi - lo)
         wmax = float(widths.max(initial=0.0))
-        # fold negligible widths into their midpoints: keeping them in the
-        # inclusion-exclusion below would divide rounding noise by prod(w)
+        # fold negligible widths into their midpoints: keeping them would
+        # divide rounding noise by a near-zero width
         tiny = widths <= 1e-7 * wmax
         base += float(widths[tiny].sum()) / 2.0
         widths = np.sort(widths[~tiny])[::-1]
@@ -509,67 +515,64 @@ class UniformBox(DisplacementLaw):
             return ((t > 0) if strict else (t >= 0)).astype(float)
         if m == 1:
             return np.clip(t / widths[0], 0.0, 1.0)
-        if m == 2:
-            w1, w2 = float(widths[0]), float(widths[1])
-            rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
-            mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
-            fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
-            cdf = np.where(
-                t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall)
-            )
-            cdf = np.clip(cdf, 0.0, 1.0)
-            return cdf if cdf.ndim else float(cdf)
-        total = float(widths.sum())
-        # general case: inclusion-exclusion over subsets of the widths
-        acc = np.zeros(np.shape(t), dtype=float)
-        for mask in range(1 << m):
-            offset = 0.0
-            sign = 1.0
-            for j in range(m):
-                if mask >> j & 1:
-                    offset += widths[j]
-                    sign = -sign
-            acc = acc + sign * np.maximum(t - offset, 0.0) ** m
-        denom = math.factorial(m) * float(np.prod(widths))
-        cdf = np.clip(acc / denom, 0.0, 1.0)
-        cdf = np.where(t >= total, 1.0, cdf)
+        w1, w2 = float(widths[0]), float(widths[1])
+        rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
+        mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
+        fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
+        cdf = np.where(
+            t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall)
+        )
+        cdf = np.clip(cdf, 0.0, 1.0)
         return cdf if cdf.ndim else float(cdf)
 
     def _block_cdf(self, u, s, strict):
-        """``projection_cdf`` for a (k, d) block: the per-row rule above with
-        the same float operations, vectorized over rows for d <= 2.  The
-        inclusion-exclusion of d >= 3 sorts per-row widths, so it goes one
-        row at a time."""
-        if self.dim >= 3:
+        """``projection_cdf`` for a (k, d) block, vectorized over the rows
+        that keep the same number m of widths.  The rule is the one-direction
+        call's, with its float operations: per row, the folded widths are
+        summed in box order and the kept ones sorted in descending order,
+        and m >= 3 takes the inclusion-exclusion over subsets of the kept
+        widths.  On the line each row is one ``np.clip``, so rows go one at
+        a time through the one-direction call."""
+        if self.dim == 1:
             return self._rows_cdf(u, s, strict)
         col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
         lo = u * self.low
         hi = u * self.high
-        low_end, high_end = np.minimum(lo, hi), np.maximum(lo, hi)
-        base = low_end.sum(axis=1)
+        base = np.minimum(lo, hi).sum(axis=1)
         widths = np.abs(hi - lo)
         tiny = widths <= 1e-7 * widths.max(axis=1, keepdims=True)
-        base += np.where(tiny, widths, 0.0).sum(axis=1) / 2.0
-        kept = np.where(tiny, 0.0, widths)
-        w1, w2 = kept.max(axis=1), kept.min(axis=1)
-        m = self.dim - tiny.sum(axis=1)
-        if self.dim == 1:
-            # a nonzero direction takes the scalar call's (s - a) / (b - a)
-            base = np.where(m == 1, low_end[:, 0], base)
-            w1 = (high_end - low_end)[:, 0]
-        t = s - col(base)
-        out = np.empty(t.shape)
-        step = m == 0
-        out[step] = ((t[step] > 0) if strict else (t[step] >= 0)).astype(float)
-        one = m == 1
-        out[one] = np.clip(t[one] / col(w1[one]), 0.0, 1.0)
-        two = m == 2
-        t, w1, w2 = t[two], col(w1[two]), col(w2[two])
-        rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
-        mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
-        fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
-        cdf = np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall))
-        out[two] = np.clip(cdf, 0.0, 1.0)
+        kept_counts = self.dim - tiny.sum(axis=1)
+        out = np.empty(s.shape)
+        for m in map(int, np.unique(kept_counts)):
+            rows = kept_counts == m
+            w, fold = widths[rows], tiny[rows]
+            b = base[rows] + w[fold].reshape(w.shape[0], self.dim - m).sum(axis=1) / 2.0
+            kept = np.sort(w[~fold].reshape(w.shape[0], m), axis=1)[:, ::-1]
+            t = s[rows] - col(b)
+            if m == 0:
+                out[rows] = ((t > 0) if strict else (t >= 0)).astype(float)
+            elif m == 1:
+                out[rows] = np.clip(t / col(kept[:, 0]), 0.0, 1.0)
+            elif m == 2:
+                w1, w2 = col(kept[:, 0]), col(kept[:, 1])
+                rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
+                mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
+                fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
+                cdf = np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall))
+                out[rows] = np.clip(cdf, 0.0, 1.0)
+            else:
+                acc = np.zeros(t.shape)
+                for mask in range(1 << m):
+                    offset = np.zeros(kept.shape[0])
+                    sign = 1.0
+                    for j in range(m):
+                        if mask >> j & 1:
+                            offset += kept[:, j]
+                            sign = -sign
+                    acc = acc + sign * np.maximum(t - col(offset), 0.0) ** m
+                denom = math.factorial(m) * kept.prod(axis=1)
+                cdf = np.clip(acc / col(denom), 0.0, 1.0)
+                out[rows] = np.where(t >= col(kept.sum(axis=1)), 1.0, cdf)
         return out
 
     def mgf(self, theta):

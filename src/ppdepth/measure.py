@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,9 @@ class ReferenceMeasure:
 
     def line_mass(self, u: np.ndarray, s, strict: bool = False):
         """Mass of {y : <y, u> <= s} (or < s when strict); vectorized in s.
-        An analytic reference also takes a (k, d) block of directions, as
-        ``DisplacementLaw.projection_cdf`` does."""
+        Every reference also takes a (k, d) block of directions, as
+        ``DisplacementLaw.projection_cdf`` does: row i of the result is the
+        call with ``u[i]`` and ``s[i]``."""
         raise NotImplementedError
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -184,11 +186,16 @@ class EmpiricalReference(ReferenceMeasure):
         return empirical_intensity(self.sample, f)
 
     def line_mass(self, u, s, strict=False):
-        proj = np.sort(self.sample.all_points() @ np.asarray(u, dtype=float))
-        side = "left" if strict else "right"
-        counts = np.searchsorted(proj, np.asarray(s, dtype=float), side=side)
-        out = counts / self.sample.n
-        return out if np.ndim(s) else float(out)
+        pts, side = self.sample.all_points(), "left" if strict else "right"
+
+        def mass(v, t):
+            return np.searchsorted(np.sort(pts @ v), t, side=side) / self.sample.n
+
+        u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
+        if u.ndim == 2:
+            return np.array([mass(v, t) for v, t in zip(u, s)])
+        out = mass(u, s)
+        return out if out.ndim else float(out)
 
     def atoms(self):
         """Every point of the sample at mass 1/n."""
@@ -577,7 +584,11 @@ def _sphere_directions(dim: int, k: int) -> np.ndarray:
     from scipy.stats import qmc
 
     sobol = qmc.Sobol(d=dim, scramble=True, seed=20210607)
-    raw = sobol.random(k)
+    with warnings.catch_warnings():
+        # scipy warns that Sobol balance needs k = 2^j; callers rely only on
+        # the prefix property (the first k points do not depend on k)
+        warnings.filterwarnings("ignore", "The balance properties of Sobol", UserWarning)
+        raw = sobol.random(k)
     z = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0

@@ -9,6 +9,7 @@ from ppdepth import (
     DiscretePoints,
     EmpiricalReference,
     FixedCount,
+    MixedBinomialReference,
     PointPattern,
     RngStream,
     Sample,
@@ -60,6 +61,48 @@ class TestHalfspaceMass:
         m = point_measure([[0.5], [0.5]])
         assert halfspace_mass(m, [0.5], [1.0]) == 1.0
         assert halfspace_mass(m, [0.5], [-1.0]) == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_rows_equal_one_row_calls(self, d):
+        """Entry (i, j) of a block is the float of the one-direction call
+        with row i of the directions and point j, against empirical,
+        discrete, Gaussian and box references, with rows that share a
+        direction."""
+        rng = np.random.default_rng(40 + d)
+        atoms = rng.normal(size=(6, d))
+        mean, std = rng.normal(size=d), rng.uniform(0.5, 2.0, d)
+        low, high = -rng.uniform(size=d), rng.uniform(size=d) + 0.5
+        refs = [
+            point_measure(np.round(rng.normal(size=(30, d)) * 4.0) / 4.0),
+            reference_for(ShiftedPoisson(1.5), DiscretePoints(atoms, [1 / 6] * 6)),
+            reference_for(FixedCount(2), DiagonalGaussian(mean, std)),
+            reference_for(FixedCount(1), UniformBox(low, high)),
+        ]
+        u = rng.normal(size=(40, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u[0], u[1] = np.eye(d)[0], -np.eye(d)[d - 1]
+        u[30:] = u[:10]
+        for ref in refs:
+            points = np.round(rng.normal(size=(7, d)) * 4.0) / 4.0
+            block = halfspace_mass(ref, points, u)
+            assert block.shape == (40, 7)
+            for j, x in enumerate(points):
+                column = halfspace_mass(ref, x, u)
+                assert column.tobytes() == block[:, j].tobytes()
+                for i in range(40):
+                    one = halfspace_mass(ref, x, u[i])
+                    assert block[i, j].tobytes() == np.float64(one).tobytes()
+
+    def test_discrete_atom_on_the_boundary_counts(self):
+        """A discrete law's atom at x lies in every closed half-space through
+        x, whatever the rounding of its projection."""
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(5, 3)) * 10.0
+        ref = reference_for(FixedCount(1), DiscretePoints(pts, [0.2] * 5))
+        u = rng.normal(size=(2000, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        for atom in pts:
+            assert (halfspace_mass(ref, atom, u) >= 0.2).all()
 
 
 class TestDepth1d:
@@ -115,6 +158,35 @@ class TestDepth2dExact:
             got = depth_2d_exact(m, x).depth
             want = depth_oracle(pts, x, random_directions=20_000)
             assert got == want, f"pts={pts.tolist()}, x={x.tolist()}"
+
+    @pytest.mark.parametrize(
+        "count", [FixedCount(2), ShiftedPoisson(1.5)], ids=["fixed", "poisson"]
+    )
+    def test_discrete_law_matches_oracle(self, count):
+        """A planar discrete law takes the exact sweep over its atoms at
+        masses E[L] * weight: lattice atoms, repeated and collinear, with
+        query points on atoms, on the lattice and off it."""
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            pts = rng.integers(-3, 4, size=(int(rng.integers(3, 15)), 2)).astype(float)
+            w = rng.uniform(0.1, 1.0, size=pts.shape[0])
+            ref = reference_for(count, DiscretePoints(pts, w / w.sum()))
+            masses = ref.atoms()[1]
+            for x in (pts[0], rng.integers(-3, 4, size=2).astype(float), rng.normal(size=2)):
+                got = depth_2d_exact(ref, x)
+                want = depth_oracle(pts, x, weights=masses, random_directions=20_000)
+                assert got.exact
+                assert got.depth == pytest.approx(want, abs=1e-12)
+
+    def test_deepest_point_of_a_discrete_law(self):
+        """The deepest point of a planar discrete law carries the oracle's
+        depth at that point."""
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0], [1.0, 3.0]])
+        weights = [0.1, 0.2, 0.2, 0.1, 0.3, 0.1]
+        ref = reference_for(ShiftedPoisson(0.5), DiscretePoints(pts, weights))
+        x, d = deepest_point(ref, ([-1.0, -1.0], [3.0, 3.0]), 9)
+        assert d == pytest.approx(depth_oracle(pts, x, weights=ref.atoms()[1]), abs=1e-12)
+        assert d >= 0.3 * ref.total_mass
 
     def test_mass_rescale_scales_depth_linearly(self):
         pts = np.random.default_rng(3).normal(size=(10, 2))
@@ -175,6 +247,28 @@ class TestDepthApprox:
         x = np.array([0.05, -0.1])
         vals = [depth_approx(m, x, k).depth for k in (4, 16, 64, 256, 1024)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_gaussian_deepest_point_within_closed_form(self):
+        """The standard Gaussian's depth at x is Phi(-|x|); sampled
+        directions bound it from above, and some direction has mass <= 1/2."""
+        ref = reference_for(FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3))
+        x, d = deepest_point(ref, ([-1.0] * 3, [1.0] * 3), 4)
+        assert ndtr(-np.linalg.norm(x)) - 1e-12 <= d <= 0.5 + 1e-12
+
+    def test_one_line_mass_call_per_call(self, monkeypatch):
+        """All k directions of an atomless measure take one block call."""
+        calls = []
+        inner = MixedBinomialReference.line_mass
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixedBinomialReference, "line_mass", counted)
+        ref = reference_for(FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3))
+        for k in (1, 64, 2048):
+            depth_approx(ref, [0.3, -0.2, 0.1], k)
+        assert calls == [(1, 3), (64, 3), (2048, 3)]
 
     def test_gaussian_center_is_half_mass(self):
         """Center of a symmetric continuous law: depth = E[L] / 2."""
@@ -270,14 +364,14 @@ class TestDepthSupDeviation:
 
 def _depth_1d_loop(measure, x: float) -> float:
     """One-point depth on the line: a tail count for an empirical measure,
-    scalar reference masses otherwise."""
+    one-direction masses along +1 and -1 otherwise."""
     left = halfspace_mass(measure, [x], [1.0])
     if isinstance(measure, EmpiricalReference):
         proj = measure.sample.all_points()[:, 0]
         tol = 1e-12 * max(1.0, float(np.abs(proj).max()), abs(x))
         right = float(np.count_nonzero(proj >= x - tol) / measure.sample.n)
     else:
-        right = measure.total_mass - float(measure.line_mass(np.array([1.0]), x, strict=True))
+        right = halfspace_mass(measure, [x], [-1.0])
     return left if left <= right else right
 
 
@@ -381,6 +475,18 @@ class TestBatchQueries:
         )
         assert rows[0]["depth"] >= 0.5 - 1e-12
         assert rows[0]["exact"] is False
+
+    def test_approx_in_three_dimensions_bounds_the_oracle(self):
+        """approx:1000, not a power of 2, on 3-d points: an upper bound on
+        the brute-force depth, without scipy's Sobol balance warning."""
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(30, 3))
+        queries = rng.normal(size=(4, 3)) * 0.5
+        rows = batch_depth_queries(
+            {"points": pts.tolist(), "queries": queries.tolist(), "method": "approx:1000"}
+        )
+        for row, q in zip(rows, queries):
+            assert row["depth"] >= depth_oracle(pts, q, weights=[1 / 30] * 30) - 1e-12
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -313,6 +313,9 @@ class TestBlockProjectionCdf:
         UniformBox([0.0, -1.0], [2.0, 1.0]),
         UniformBox([0.0, 0.0], [1.0, 1e-9]),  # near-zero width in most directions
         UniformBox([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+        # a thin slab: most rows keep two of three widths
+        pytest.param(UniformBox([0.0, 0.0, 0.0], [1.0, 2.0, 1e-9]), id="UniformBox-3d-thin"),
+        UniformBox([0.0, -1.0, 0.5, 0.0], [1.0, 2.0, 3.0, 0.5]),
         DiagonalGaussian([0.3], [0.2]),
         DiagonalGaussian([0.7, -1.2], [1.0, 3.0]),
         DiagonalGaussian([0.7, -1.2], [0.0, 3.0]),  # zero sd along the first axis
@@ -346,6 +349,42 @@ class TestBlockProjectionCdf:
                     for i in range(k):
                         row = np.asarray(law.projection_cdf(u[i], s[i], strict))
                         assert block[i].tobytes() == row.tobytes()
+
+    @staticmethod
+    def _inclusion_exclusion(law, u, s):
+        """The box CDF along one direction for an array s, written out: the
+        folded widths summed in box order, the kept ones in descending order
+        through the inclusion-exclusion over their subsets."""
+        lo, hi = u * law.low, u * law.high
+        widths = np.abs(hi - lo)
+        tiny = widths <= 1e-7 * float(widths.max())
+        base = float(np.minimum(lo, hi).sum()) + float(widths[tiny].sum()) / 2.0
+        w = np.sort(widths[~tiny])[::-1]
+        t = s - base
+        acc = np.zeros(t.shape)
+        for mask in range(1 << w.size):
+            picked = [j for j in range(w.size) if mask >> j & 1]
+            offset = 0.0
+            for j in picked:
+                offset += w[j]
+            acc = acc + (-1.0) ** len(picked) * np.maximum(t - offset, 0.0) ** w.size
+        cdf = np.clip(acc / (math.factorial(w.size) * float(np.prod(w))), 0.0, 1.0)
+        return np.where(t >= float(w.sum()), 1.0, cdf)
+
+    @pytest.mark.parametrize("low,high", [
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+        ([0.0, -1.0, 0.5, 0.0], [1.0, 2.0, 3.0, 0.5]),
+        ([-1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 3.0, 2.5, 1.0, 4.0]),
+    ], ids=["3d", "4d", "5d"])
+    def test_box_rows_follow_inclusion_exclusion(self, low, high):
+        law = UniformBox(low, high)
+        rng = np.random.default_rng(law.dim)
+        u = rng.normal(size=(50, law.dim))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        s = rng.normal(scale=2.0, size=(50, 9))
+        block = law.projection_cdf(u, s)
+        for i in range(50):
+            assert block[i].tobytes() == self._inclusion_exclusion(law, u[i], s[i]).tobytes()
 
     @pytest.mark.parametrize("low,high", [(-0.0, 1.0), (-1.0, 0.0)])
     def test_signed_zero_bounds_on_the_line(self, low, high):

@@ -580,10 +580,11 @@ class TestCli:
             {"points": DIAMOND, "queries": [[0], [0, 1]], "method": "exact2d"},
             {"points": DIAMOND, "queries": [], "method": "exact2d"},
             {"points": [[float("nan"), 0]], "queries": [[0, 0]], "method": "exact2d"},
+            {"points": DIAMOND, "queries": [[0, 0]], "method": "approx:1000000000000"},
         ],
         ids=["nan-query", "inf-query", "null-query", "method-number", "approx-zero",
              "method-unknown", "query-dim", "exact1d-dim", "query-string", "query-ragged",
-             "no-queries", "nan-point"],
+             "no-queries", "nan-point", "approx-huge"],
     )
     def test_bad_depth_batch_exits_one_with_one_line(self, tmp_path, capsys, payload):
         """A depth query batch that is not finite numeric (count, d) points
@@ -595,6 +596,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("ppdepth: ")
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     def test_depth_batch_mode(self, tmp_path):
