@@ -374,9 +374,9 @@ def depth_sup_deviation(sample: Sample, ref: ReferenceMeasure, eval_points) -> f
         candidates = [xs]
         if xs.size > 1:
             candidates.append(0.5 * (xs[1:] + xs[:-1]))
-        atoms = ref.line_atoms(np.array([1.0]))
+        atoms = ref.atoms()
         if atoms is not None:
-            candidates.append(np.unique(atoms))
+            candidates.append(np.unique(atoms[0][:, 0]))
         candidates.append(np.array([x[0] for x in points]))
         grid = np.unique(np.concatenate(candidates))
         # depth_1d's smaller closed tail, over the whole grid at once: the

@@ -470,8 +470,8 @@ class UniformBox(DisplacementLaw):
         hi = np.atleast_1d(np.asarray(self.high, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("low and high must be vectors of equal length")
-        if not (lo < hi).all():
-            raise ValueError("box needs low < high coordinatewise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+            raise ValueError("box needs finite low < high coordinatewise")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "low", lo)
@@ -605,8 +605,8 @@ class DiagonalGaussian(DisplacementLaw):
         s = np.atleast_1d(np.asarray(self.std, dtype=float))
         if m.shape != s.shape or m.ndim != 1:
             raise ValueError("mean and std must be vectors of equal length")
-        if (s < 0).any():
-            raise ValueError("std must be nonnegative")
+        if not (np.isfinite(m).all() and np.isfinite(s).all()) or (s < 0).any():
+            raise ValueError("mean must be finite and std finite and nonnegative")
         m.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "mean", m)
@@ -658,8 +658,8 @@ class DiscretePoints(DisplacementLaw):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pts.shape[0] != w.size:
             raise ValueError("one weight per point required")
-        if (w < 0).any() or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not (np.isfinite(pts).all() and (w >= 0).all()) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+            raise ValueError("points must be finite, weights nonnegative and sum to 1")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)

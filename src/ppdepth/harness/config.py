@@ -191,8 +191,19 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} needs a nonempty n_grid")
         if any(n < 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be >= 1")
-        if self.function_class is None and self.kind in ("ulln", "clt", "bound", "diag"):
-            raise ConfigError(f"{self.kind} needs a function_class")
+        if self.kind in ("ulln", "clt", "bound", "diag"):  # the kinds that use a class
+            cls = self.function_class
+            if cls is None:
+                raise ConfigError(f"{self.kind} needs a function_class")
+            # a finite list is checked by its members: Constant has no
+            # dimension, and the others share one
+            members = cls.members if cls.kind == "finite_list" else (cls,)
+            dims = {f.dim for f in members} - {None, self.disp.dim}
+            if dims:
+                raise ConfigError(
+                    f"the {cls.kind} class works in dimension {dims.pop()}, "
+                    f"the displacement law in dimension {self.disp.dim}"
+                )
         if self.kind == "bound" and not self.epsilon_grid:
             raise ConfigError("bound experiments need an epsilon_grid")
         if not all(math.isfinite(e) and e > 0 for e in self.epsilon_grid):
@@ -261,6 +272,8 @@ class ExperimentConfig:
     def _check_brw(self):
         if not self.j_grid:
             raise ConfigError("brw experiments need a j_grid")
+        if self.replicates < 2:
+            raise ConfigError("brw experiments need at least 2 replicates")
         if any(j < 0 for j in self.j_grid):
             raise ConfigError("j_grid entries must be >= 0")
         if self.disp.dim != 1:

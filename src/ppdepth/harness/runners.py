@@ -42,7 +42,7 @@ from ..measure import (
     EmpiricalReference,
     halfline_sup_ragged,
     halfline_sup_rows,
-    halfline_sup_weighted,
+    halfline_sup_weighted,  # not called here; benchmarks/tracing.py patches this name
     reference_for,
     sup_deviation,
 )
@@ -514,9 +514,7 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 def _diag_block(shared, lo: int, hi: int):
     """Deviations and Rademacher-signed sups of replicates lo..hi-1, each
     bit for bit ``halfline_sup_weighted``'s value.  The block is drawn first
-    and then reduced in one ``halfline_sup_ragged`` call per kind; against
-    a reference with atoms the deviations are swept one replicate at a
-    time."""
+    and then reduced in one ``halfline_sup_ragged`` call per kind."""
     count, disp, ref, n, seed = shared
     points, sizes, signed = [], [], []
     for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
@@ -526,11 +524,7 @@ def _diag_block(shared, lo: int, hi: int):
         sizes.append(pts.shape[0])
         signed.append(np.repeat(signs / n, counts))
     xs = np.concatenate(points)
-    weights = np.full(xs.size, 1.0 / n)
-    if ref.atoms() is None:
-        devs = halfline_sup_ragged(xs, sizes, weights, ref)
-    else:
-        devs = np.array([halfline_sup_weighted(p, weights[: p.size], ref) for p in points])
+    devs = halfline_sup_ragged(xs, sizes, np.full(xs.size, 1.0 / n), ref)
     syms = halfline_sup_ragged(xs, sizes, np.concatenate(signed), None)
     return devs, syms
 

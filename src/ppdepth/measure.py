@@ -8,14 +8,18 @@ with mu(f) = E[L] E[f(X)], or the empirical measure of another sample.
 ``sup_deviation`` computes sup_f |mu_n(f) - mu(f)| over a function class.
 For half-lines the supremum is exact: it is attained (or approached one
 sidedly) at data points, at atoms of the reference, or in the tails, and both
-closed orientations are scanned.  For half-planes the scan enumerates the
-pair-normal directions of the sample points and the reference's atoms, with
-small angular perturbations on both sides.  That is exact (up to boundary
-ties) against a purely atomic reference (``ReferenceMeasure.atoms``: an
-empirical measure or a discrete law), whose difference with the sample
-changes only at those directions; against any other reference the sup can
-lie inside an arc between them, so the result is flagged as a lower bound,
-as it is over the sampled directions of dimension three and above.
+closed orientations are scanned.  A purely atomic reference
+(``ReferenceMeasure.atoms``: an empirical measure or a discrete law) is swept
+as its atoms on every path: projected on the direction, they follow the
+sample's positions at weight -mass, and that signed measure is swept against
+zero (a maximum bichromatic discrepancy).  For half-planes the scan
+enumerates the pair-normal directions of the sample points and the
+reference's atoms, with small angular perturbations on both sides.  That is
+exact (up to boundary ties) against a purely atomic reference, whose
+difference with the sample changes only at those directions; against any
+other reference the sup can lie inside an arc between them, so the result is
+flagged as a lower bound, as it is over the sampled directions of dimension
+three and above.
 
 Every half-line sweep takes its empirical masses from one rule: ``prefix``
 holds the m + 1 prefix sums of the sorted weights with a leading 0
@@ -127,11 +131,6 @@ class ReferenceMeasure:
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(points, masses) of a purely atomic reference, else None."""
         return None
-
-    def line_atoms(self, u: np.ndarray) -> np.ndarray | None:
-        """Projected atom positions along u when atomic, else None."""
-        atoms = self.atoms()
-        return None if atoms is None else atoms[0] @ np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -279,22 +278,17 @@ def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) ->
 
 
 def _line_sup(
-    xs: np.ndarray,
-    ws: np.ndarray,
-    ref_weak,
-    ref_strict,
-    ref_total: float,
-    extra_positions: np.ndarray | None = None,
+    xs: np.ndarray, ws: np.ndarray, ref_mass=None, ref_total: float = 0.0
 ) -> tuple[float, float, int]:
     """Exact sup over closed half-lines of |emp - ref| on a projected axis.
 
-    ``xs`` are data positions with signed weights ``ws``; ``ref_weak(s)`` /
-    ``ref_strict(s)`` give the reference mass of (-inf, s] and (-inf, s).
-    ``ref_strict = None`` declares an atomless reference (strict mass equals
-    weak mass, so its evaluation is reused).  Both orientations and both
-    one-sided limits are scanned at every data position (and at the
-    reference's atoms, passed via ``extra_positions``).  Returns
-    (value, threshold, orientation); infinite thresholds encode the tails.
+    ``xs`` are data positions with signed weights ``ws``; ``ref_mass(s)``
+    gives the mass of (-inf, s] of an atomless reference, which is also that
+    of (-inf, s), and ``None`` means the zero measure.  A purely atomic
+    reference is swept as its atoms against the zero measure
+    (``_ref_line_sup``).  Both orientations and both one-sided limits are
+    scanned at every data position.  Returns (value, threshold,
+    orientation); infinite thresholds encode the tails.
 
     The empirical masses follow the module's prefix rule (``_prefix``) in
     stably sorted order.  Equal weights only need the sorted positions, since
@@ -318,27 +312,20 @@ def _line_sup(
         xs, ws = sorted_xs, ws[order]
     prefix = _prefix(ws)
 
-    no_ties = bool((xs[1:] > xs[:-1]).all())
-    if no_ties and (extra_positions is None or not len(extra_positions)):
-        pos, emp_weak, emp_strict = xs, prefix[1:], prefix[:-1]
+    if (xs[1:] > xs[:-1]).all():
+        pos, dev_weak, dev_strict = xs, prefix[1:], prefix[:-1]
     else:
         pos = np.unique(xs)
-        if extra_positions is not None and len(extra_positions):
-            pos = np.union1d(pos, np.asarray(extra_positions, dtype=float))
-        emp_weak = prefix[np.searchsorted(xs, pos, side="right")]
-        emp_strict = prefix[np.searchsorted(xs, pos, side="left")]
+        dev_weak = prefix[np.searchsorted(xs, pos, side="right")]
+        dev_strict = prefix[np.searchsorted(xs, pos, side="left")]
+    if ref_mass is not None:
+        ref_vals = np.asarray(ref_mass(pos), dtype=float)
+        dev_weak, dev_strict = dev_weak - ref_vals, dev_strict - ref_vals
 
     dtot = float(prefix[-1]) - ref_total
     # the tails: closed (-inf, inf) and the empty half-line
     best_val, best_k = abs(dtot), -1
     if pos.size:
-        ref_weak_vals = np.asarray(ref_weak(pos), dtype=float)
-        if ref_strict is None:
-            ref_strict_vals = ref_weak_vals
-        else:
-            ref_strict_vals = np.asarray(ref_strict(pos), dtype=float)
-        dev_weak = emp_weak - ref_weak_vals
-        dev_strict = emp_strict - ref_strict_vals
         sups = _sweep_sups(
             dev_weak.max(), dev_weak.min(), dev_strict.max(), dev_strict.min(), dtot
         )
@@ -365,17 +352,14 @@ def _ref_line_sup(
     xs: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, u: np.ndarray
 ) -> tuple[float, float, int]:
     """``_line_sup`` of the positions ``xs`` along ``u`` against ``ref``
-    projected on ``u``, with its atoms scanned when it has any."""
-    atoms = ref.line_atoms(u)
-    strict = None if atoms is None else (lambda s: ref.line_mass(u, s, strict=True))
-    return _line_sup(
-        xs,
-        ws,
-        lambda s: ref.line_mass(u, s, strict=False),
-        strict,
-        ref.total_mass,
-        extra_positions=atoms,
-    )
+    projected on ``u``.  A purely atomic ``ref`` is swept as its atoms: their
+    projections (their own product, as ``_direction_sups`` takes them) follow
+    ``xs`` at weights -mass, against the zero measure."""
+    atoms = ref.atoms()
+    if atoms is None:
+        return _line_sup(xs, ws, lambda s: ref.line_mass(u, s), ref.total_mass)
+    atom_pts, masses = atoms
+    return _line_sup(np.concatenate([xs, atom_pts @ u]), np.concatenate([ws, -masses]))
 
 
 def halfline_sup_weighted(
@@ -392,8 +376,15 @@ def halfline_sup_weighted(
     if ws.shape != xs.shape:
         raise ValueError("one weight per point required")
     if ref is None:
-        return _line_sup(xs, ws, lambda s: np.zeros(np.shape(s)), None, 0.0)[0]
+        return _line_sup(xs, ws)[0]
+    _check_line_ref(ref)
     return _ref_line_sup(xs, ws, ref, np.array([1.0]))[0]
+
+
+def _check_line_ref(ref: ReferenceMeasure) -> None:
+    """Refuse a reference that does not live on the real line."""
+    if ref.dim != 1:
+        raise ValueError(f"half-line sweeps need a one-dimensional reference, not {ref.dim}-d")
 
 
 def signed_halfline_sup(sample: Sample, signs: np.ndarray) -> float:
@@ -422,6 +413,7 @@ def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.nda
     points, so each block's deviations stay in cache and ``rows`` is never
     copied whole.
     """
+    _check_line_ref(ref)
     if ref.atoms() is not None:
         raise ValueError("batched sweep requires an atomless reference")
     rows = np.asarray(rows, dtype=float)
@@ -444,41 +436,45 @@ def halfline_sup_ragged(
     """``halfline_sup_weighted`` for B samples at once, bit for bit.
 
     Sample i holds the next ``sizes[i]`` entries of the flat ``points`` and
-    ``weights``.  Against a reference, which must be atomless, all weights
-    must be one positive value (1/n for plain samples), and sorted rows go
-    to ``_sorted_row_sups``.  ``ref = None`` means the zero measure and
-    takes any signed weights (``_signed_row_sups``).  Samples go in blocks
-    of about 2^15 points, each padded to its longest sample with points at
-    +inf of weight 0: a padded point only repeats the total deviation as a
-    candidate, which is already one.
+    ``weights``.  Samples go in blocks of about 2^15 points, each padded to
+    its longest sample with points at +inf of weight 0: a padded point only
+    repeats the total deviation as a candidate, which is already one.
+    Against an atomless reference all weights must be one positive value
+    (1/n for plain samples), and sorted rows go to ``_sorted_row_sups``.
+    ``ref = None`` means the zero measure and takes any signed weights
+    (``_signed_row_sups``), as does an atomic reference, whose atoms follow
+    the padding of every row at weights -mass: after the sample's points,
+    as ``_ref_line_sup`` places them.
     """
     xs = np.asarray(points, dtype=float)
     ws = np.asarray(weights, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
     if ws.shape != xs.shape or xs.ndim != 1 or xs.size != sizes.sum():
         raise ValueError("one weight per point and sizes summing to the points required")
+    atoms = None if ref is None else ref.atoms()
     if ref is not None:
-        if ref.atoms() is not None:
-            raise ValueError("batched sweep requires an atomless reference")
-        if not (ws.size and ws[0] > 0 and (ws == ws[0]).all()):
+        _check_line_ref(ref)
+        if atoms is None and not (ws.size and ws[0] > 0 and (ws == ws[0]).all()):
             raise ValueError("batched sweep against a reference needs one positive weight")
     u = np.array([1.0])
+    atom_xs, atom_ws = (np.empty(0), np.empty(0)) if atoms is None else (atoms[0] @ u, -atoms[1])
     out = np.empty(sizes.size)
     starts = np.cumsum(sizes) - sizes
-    per = max(1, (1 << 15) // max(1, int(sizes.max(initial=0))))
+    per = max(1, (1 << 15) // max(1, int(sizes.max(initial=0)) + atom_xs.size))
     for lo in range(0, sizes.size, per):
         rows = sizes[lo : lo + per]
-        start, stop = starts[lo], starts[lo] + rows.sum()
-        filled = np.arange(rows.max()) < rows[:, None]
-        block = np.full(filled.shape, np.inf)
-        block[filled] = xs[start:stop]
-        block_ws = np.zeros(filled.shape)
-        block_ws[filled] = ws[start:stop]
-        if ref is None:
+        start, stop, width = starts[lo], starts[lo] + rows.sum(), int(rows.max())
+        filled = np.arange(width) < rows[:, None]
+        block = np.full((rows.size, width + atom_xs.size), np.inf)
+        block_ws = np.zeros(block.shape)
+        block[:, :width][filled] = xs[start:stop]
+        block_ws[:, :width][filled] = ws[start:stop]
+        block[:, width:], block_ws[:, width:] = atom_xs, atom_ws
+        if ref is None or atoms is not None:
             _signed_row_sups(block, block_ws, out[lo : lo + per])
         else:
             block.sort(axis=1)
-            prefix = np.zeros((rows.size, filled.shape[1] + 1))
+            prefix = np.zeros((rows.size, width + 1))
             np.cumsum(block_ws, axis=1, out=prefix[:, 1:])
             _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
     return out
@@ -597,29 +593,24 @@ def _sphere_directions(dim: int, k: int) -> np.ndarray:
 
 def _direction_sups(
     pts: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, dirs: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """``_ref_line_sup``'s value for every direction of ``dirs`` (points
-    ``pts`` at weights ``ws``, 1/n each), and a bound on the gap between them.
+    ``pts`` at weights ``ws``, 1/n each), bit for bit.
 
     Directions go in blocks of about 2^15 projected values; row i is ``pts @
     dirs[i]``, the one-direction sweep's BLAS call (one product over sample
     and atoms together would move last bits).  Atomless references go to
-    ``_sorted_row_sups``, bit for bit.  Against atoms, their projections
-    follow each row at weights -mass, for ``_signed_row_sups``.  Both sweeps
-    add at most k = m + a weights per prefix sum and take two differences,
-    so they differ by at most 2 (k + 2) eps per unit of total weight; the
-    bound takes twice that, plus the gap between the declared total mass
-    and the atoms' sum, which the one-direction sweep takes for it.
+    ``_sorted_row_sups``.  Against atoms, their projections follow each row
+    at weights -mass, as ``_ref_line_sup`` places them, for
+    ``_signed_row_sups``.
     """
     atoms = ref.atoms()
     if atoms is None:
-        prefix, width, bound = _prefix(ws), pts.shape[0], 0.0
+        prefix, width = _prefix(ws), pts.shape[0]
     else:
         atom_pts, masses = atoms
         signed = np.concatenate([ws, -masses])
         width = signed.size
-        weight = (float(ws.sum() + masses.sum()) + ref.total_mass) * np.finfo(float).eps
-        bound = 4.0 * (width + 2) * weight + abs(float(masses.sum()) - ref.total_mass)
     out = np.empty(len(dirs))
     per = max(1, (1 << 15) // width)
     for lo in range(0, len(dirs), per):
@@ -631,28 +622,20 @@ def _direction_sups(
         else:
             rows = np.concatenate([proj, np.matmul(atom_pts, block[:, :, None])[:, :, 0]], axis=1)
             _signed_row_sups(rows, np.broadcast_to(signed, rows.shape), out[lo : lo + per])
-    return out, bound
+    return out
 
 
 def _directional_sup(
     sample: Sample, ref: ReferenceMeasure, dirs: np.ndarray
 ) -> tuple[float, HalfSpaceIndicator]:
-    """The largest ``_ref_line_sup`` over the directions ``dirs`` (the first
-    direction that attains it) and its half-space.
-
-    A direction that attains it has a ``_direction_sups`` value within twice
-    the bound of the largest one, so only those are swept again, in order,
-    keeping the first maximum: one sweep per direction's result, bit for bit.
-    """
+    """The largest ``_ref_line_sup`` over the directions ``dirs`` and its
+    half-space.  Every direction is valued in blocks (``_direction_sups``),
+    and only the first one that attains the maximum is swept again, to
+    locate the boundary."""
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
-    vals, bound = _direction_sups(pts, ws, ref, dirs)
-    best = None
-    for u in dirs[vals >= vals.max() - 2.0 * bound]:
-        swept = _ref_line_sup(pts @ u, ws, ref, u)
-        if best is None or swept[0] > best[0][0]:
-            best = swept, u
-    (value, t, orient), u = best
+    u = dirs[int(np.argmax(_direction_sups(pts, ws, ref, dirs)))]
+    value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
     if not math.isfinite(t):
         # tail candidate: the half-space degenerates to R^d or the empty set
         t = math.copysign(1e300, t)

@@ -380,9 +380,9 @@ def _deviation_loop(sample, ref, eval_points) -> float:
     midpoints of distinct data points, reference atoms and query points."""
     xs = np.unique(sample.all_points()[:, 0])
     candidates = [xs, 0.5 * (xs[1:] + xs[:-1])]
-    atoms = ref.line_atoms(np.array([1.0]))
+    atoms = ref.atoms()
     if atoms is not None:
-        candidates.append(np.unique(atoms))
+        candidates.append(np.unique(atoms[0][:, 0]))
     candidates.append(np.array([p[0] for p in eval_points], dtype=float))
     emp = EmpiricalReference(sample)
     best = 0.0

@@ -302,6 +302,20 @@ class TestDisplacementLaws:
         with pytest.raises(ValueError):
             DiscretePoints([[0.0]], [0.5])
 
+    @pytest.mark.parametrize("make", [
+        lambda: UniformBox([0.0], [math.inf]),
+        lambda: UniformBox([math.nan], [1.0]),
+        lambda: DiagonalGaussian([0.0], [math.inf]),
+        lambda: DiagonalGaussian([math.nan], [1.0]),
+        lambda: DiagonalGaussian([0.0], [math.nan]),
+        lambda: DiscretePoints([[math.nan]], [1.0]),
+        lambda: DiscretePoints([[0.0], [1.0]], [math.nan, 1.0]),
+    ])
+    def test_non_finite_parameters_refused(self, make):
+        """A non-finite parameter would reach the outputs as NaN."""
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestBlockProjectionCdf:
     """A (k, d) block of directions gives, row for row, the floats of the

@@ -450,6 +450,41 @@ class TestCli:
         assert err.startswith("ppdepth: ")
         assert not (out_dir / f"{kind}.csv").exists()
 
+    BOX_2D = {"kind": "uniform", "low": [0.0, 0.0], "high": [1.0, 1.0]}
+
+    @pytest.mark.parametrize(
+        "kind,overrides",
+        [
+            ("ulln", {"disp": BOX_2D}),
+            ("bound", {"disp": BOX_2D, "function_class": {"kind": "half_spaces", "dim": 1},
+                       "epsilon_grid": [0.1]}),
+            ("ulln", {"function_class": {"kind": "half_spaces", "dim": 2}}),
+            ("ulln", {"disp": BOX_2D, "function_class": {"kind": "exponentials"}}),
+            ("clt", {"disp": BOX_2D, "function_class": CLT_PAIR, "replicates": 100}),
+            ("ulln", {"disp": {"kind": "gaussian", "mean": [0.0], "std": [float("inf")]}}),
+            ("ulln", {"disp": {"kind": "uniform", "low": [0.0], "high": [1e309]}}),
+            ("ulln", {"disp": {"kind": "discrete", "points": [[float("nan")]], "weights": [1.0]}}),
+            ("brw", {**BRW_GAUSSIAN, "replicates": 1}),
+        ],
+        ids=["half-lines-on-plane", "half-spaces-1-on-plane", "half-spaces-2-on-line",
+             "exponentials-on-plane", "clt-half-line-on-plane", "gaussian-std-inf",
+             "uniform-high-overflow", "discrete-point-nan", "brw-one-replicate"],
+    )
+    def test_refused_before_any_output(self, tmp_path, capsys, kind, overrides):
+        """A class or function of another dimension than the law, a
+        non-finite law parameter, and a brw study without a second
+        replicate for its variance are refused while the config is built:
+        exit 1, one line, no traceback and no output directory.  Before,
+        each ended in a traceback, or wrote NaN under exit 0."""
+        cfg = self._write(tmp_path, base_config(kind=kind, **overrides))
+        out_dir = tmp_path / "out"
+        assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("ppdepth: ")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_tree_over_cap_at_run_time_exits_one(self, tmp_path, capsys, monkeypatch):
         """A tree that outgrows the vertex cap while it is grown (the config
         rule bounds only its expected size) still ends in exit 1 and one

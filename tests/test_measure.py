@@ -34,6 +34,7 @@ from ppdepth import (
     signed_halfline_sup,
     sup_deviation,
 )
+from ppdepth import measure
 from ppdepth.measure import (
     _direction_sups,
     _directional_sup,
@@ -258,9 +259,9 @@ def brute_halfline_sup(sample: Sample, ref) -> float:
     cands = list(xs)
     cands += list(0.5 * (xs[1:] + xs[:-1]))
     cands += [xs[0] - 1.0, xs[-1] + 1.0]
-    atoms = ref.line_atoms(u)
+    atoms = ref.atoms()
     if atoms is not None:
-        cands += list(np.asarray(atoms))
+        cands += list(atoms[0][:, 0])
     best = abs(sample.s_n / n - ref.total_mass)
     for t in cands:
         emp_weak = np.count_nonzero(xs <= t) / n
@@ -519,18 +520,47 @@ class TestBlockedDirectionalSup:
 
     def test_blocks_split_directions(self):
         """More directions than one block holds: 40 points give 2,340
-        directions, blocks of 819."""
+        directions, blocks of 819 (atomless), 728 (a 5-atom law) or 409
+        (a 40-point empirical measure).  Every block value is the
+        one-direction sweep's, bit for bit, which is why the planar sup
+        sweeps only the first maximal direction again."""
         disp = UniformBox([0.0, 0.0], [1.0, 1.0])
-        ref = reference_for(FixedCount(1), disp)
         s = sample_sample(40, FixedCount(1), disp, RngStream(9))
         pts = s.all_points()
         dirs = _pair_normal_directions(pts)
-        assert len(dirs) > (1 << 15) // pts.shape[0]
         ws = np.full(pts.shape[0], 1.0 / s.n)
-        got, bound = _direction_sups(pts, ws, ref, dirs)
-        assert bound == 0.0
-        want = [_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
-        assert got.tolist() == want
+        for ref in (
+            reference_for(FixedCount(1), disp),
+            reference_for(ShiftedPoisson(0.5), DISCRETE_2D),
+            EmpiricalReference(sample_sample(40, FixedCount(1), disp, RngStream(9).child("b"))),
+        ):
+            atoms = ref.atoms()
+            width = pts.shape[0] + (0 if atoms is None else len(atoms[1]))
+            assert len(dirs) > (1 << 15) // width
+            got = _direction_sups(pts, ws, ref, dirs)
+            want = [_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
+            assert got.tolist() == want
+
+    def test_ties_at_the_maximum_sweep_once(self, monkeypatch):
+        """The 40 + 40 uniform two-sample case ties the maximum 0.225 at
+        many directions, and the planar sup still sweeps exactly one of them
+        again: the first."""
+        disp = UniformBox([0.0, 0.0], [1.0, 1.0])
+        s = sample_sample(40, FixedCount(1), disp, RngStream(7))
+        ref = EmpiricalReference(sample_sample(40, FixedCount(1), disp, RngStream(7).child("b")))
+        pts, ws = s.all_points(), np.full(40, 1.0 / 40)
+        dirs = _pair_normal_directions(np.concatenate([pts, ref.atoms()[0]]))
+        vals = _direction_sups(pts, ws, ref, dirs)
+        assert np.count_nonzero(vals == vals.max()) > 1
+        calls = []
+        sweep = measure._ref_line_sup
+        monkeypatch.setattr(measure, "_ref_line_sup", lambda *a: calls.append(a) or sweep(*a))
+        res = sup_deviation(s, half_spaces(2), ref)
+        assert len(calls) == 1
+        u = dirs[int(np.argmax(vals))]
+        value, t, orient = sweep(pts @ u, ws, ref, u)
+        assert res.value == vals.max() == value
+        assert res.argmax.direction.tobytes() == HalfSpaceIndicator(t * u, orient * u).direction.tobytes()
 
     def test_lattice_atoms_match_per_direction_loop(self):
         """Sample points and atoms of a discrete law on a 1/4 lattice tie in
@@ -642,15 +672,39 @@ class TestBatchedSweep:
         with pytest.raises(ValueError):
             halfline_sup_rows(np.zeros((2, 3)), 3, ref)
 
+    @pytest.mark.parametrize("disp", [
+        UniformBox([0.0, 0.0], [1.0, 1.0]),
+        DiagonalGaussian([0.0, 0.0], [1.0, 1.0]),
+    ], ids=["box", "gaussian"])
+    def test_half_line_sweeps_refuse_other_dimensions(self, disp):
+        """A planar reference is refused by every one-dimensional sweep:
+        the box used to give 0.5808 on these 10 points from all three (the
+        direction [1.0] broadcast over both coordinates) and the Gaussian a
+        raw matmul error."""
+        ref = reference_for(FixedCount(1), disp)
+        xs = RngStream(3).generator().uniform(size=10)
+        ws = np.full(10, 0.1)
+        with pytest.raises(ValueError, match="one-dimensional reference"):
+            halfline_sup_weighted(xs, ws, ref)
+        with pytest.raises(ValueError, match="one-dimensional reference"):
+            halfline_sup_rows(xs[None], 10, ref)
+        with pytest.raises(ValueError, match="one-dimensional reference"):
+            halfline_sup_ragged(xs, [10], ws, ref)
+
 
 class TestRaggedSweep:
     """``halfline_sup_ragged`` equals ``halfline_sup_weighted`` on every
-    sample, bit for bit, against an atomless reference with weights 1/n and
-    against the zero measure with signed weights."""
+    sample, bit for bit, against atomless and atomic references with
+    weights 1/n, and against the zero measure and an atomic reference with
+    signed weights."""
 
+    ATOMIC = reference_for(
+        ShiftedPoisson(0.5), DiscretePoints([[0.1], [0.3], [0.5], [1.0]], [0.1, 0.4, 0.3, 0.2])
+    )
     REFS = (
         reference_for(ShiftedPoisson(1.0), UNIFORM01),
         reference_for(FixedCount(1), DiagonalGaussian([0.3], [0.2])),
+        ATOMIC,
     )
 
     @staticmethod
@@ -687,6 +741,7 @@ class TestRaggedSweep:
             for ref in self.REFS:
                 self._check(xs, sizes, np.full(xs.size, 1.0 / n), ref)
             self._check(xs, sizes, signed, None)
+            self._check(xs, sizes, signed, self.ATOMIC)
 
     def test_all_same_sign_samples(self):
         rng = np.random.default_rng(61)
@@ -717,7 +772,8 @@ class TestRaggedSweep:
         sizes = rng.integers(1, 5000, size=25)
         xs = rng.uniform(size=int(sizes.sum()))
         signed = rng.choice([-1.0, 1.0], size=xs.size) / 1000
-        self._check(xs, sizes, np.full(xs.size, 1.0 / 1000), self.REFS[0])
+        for ref in self.REFS:
+            self._check(xs, sizes, np.full(xs.size, 1.0 / 1000), ref)
         self._check(xs, sizes, signed, None)
 
     def test_leaves_inputs_unchanged(self):
@@ -731,9 +787,6 @@ class TestRaggedSweep:
 
     def test_rejects_bad_inputs(self):
         xs = np.array([0.1, 0.2, 0.3])
-        atomic = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
-        with pytest.raises(ValueError):
-            halfline_sup_ragged(xs, [3], np.full(3, 1 / 3), atomic)
         with pytest.raises(ValueError):
             halfline_sup_ragged(xs, [3], np.array([0.5, -0.5, 0.5]), self.REFS[0])
         with pytest.raises(ValueError):
@@ -780,18 +833,43 @@ def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions
 def _rows_reference(rows, n, ref):
     """The batched sweep as a row loop over ``_line_sup_reference``."""
     ws = np.full(rows.shape[1], 1.0 / n)
-    return np.array([_line_sup_reference(row, ws, *_sweep_args(ref))[0] for row in rows])
+    return np.array([_reference_sweep(*_sweep_args(row, ws, ref))[0] for row in rows])
 
 
-def _sweep_args(ref):
-    """``_line_sup``'s reference arguments for ``ref`` on the real line, or
-    the zero measure for ``ref = None``."""
+def _sweep_args(xs, ws, ref):
+    """``_line_sup``'s arguments for positions ``xs`` at weights ``ws``
+    against ``ref`` on the real line: an atomless reference's mass and total
+    mass, the zero measure for ``ref = None``, and, for a purely atomic
+    reference, the signed rows: its atoms after ``xs`` at weights -mass,
+    against the zero measure."""
     if ref is None:
-        return (lambda s: np.zeros(np.shape(s)), None, 0.0, None)
+        return xs, ws, None, 0.0
+    atoms = ref.atoms()
+    if atoms is None:
+        return xs, ws, lambda s: ref.line_mass(np.array([1.0]), s), ref.total_mass
+    return np.concatenate([xs, atoms[0][:, 0]]), np.concatenate([ws, -atoms[1]]), None, 0.0
+
+
+def _zero_mass(s):
+    return np.zeros(np.shape(s))
+
+
+def _reference_sweep(xs, ws, ref_mass, ref_total):
+    """``_line_sup_reference`` on ``_line_sup``'s arguments."""
+    return _line_sup_reference(xs, ws, ref_mass or _zero_mass, None, ref_total)
+
+
+def _strict_mass_args(ref):
+    """``_line_sup_reference``'s arguments for an atomic ``ref`` in the
+    strict-mass formulation: the reference's masses of (-inf, s] and of
+    (-inf, s), its declared total mass, and its atoms as extra positions."""
     u = np.array([1.0])
-    atoms = ref.line_atoms(u)
-    strict = None if atoms is None else (lambda s: ref.line_mass(u, s, strict=True))
-    return (lambda s: ref.line_mass(u, s), strict, ref.total_mass, atoms)
+    return (
+        lambda s: ref.line_mass(u, s),
+        lambda s: ref.line_mass(u, s, strict=True),
+        ref.total_mass,
+        ref.atoms()[0][:, 0],
+    )
 
 
 class TestSweepKernelExact:
@@ -807,9 +885,11 @@ class TestSweepKernelExact:
         reference_for(ShiftedPoisson(0.5), DiscretePoints([[0.3], [0.7]], [0.5, 0.5])),
     )
 
-    def test_line_sup_matches_reference(self):
+    @staticmethod
+    def _cases():
+        """520 seeded position and weight arrays: continuous and tied
+        positions, equal and signed weights."""
         rng = np.random.default_rng(2024)
-        cases = 0
         for _ in range(130):
             m = int(rng.integers(1, 301))
             n = int(rng.integers(1, m + 1))
@@ -822,11 +902,29 @@ class TestSweepKernelExact:
                     ws = np.full(m, 1.0 / n)
                     if signed:
                         ws *= rng.choice([-1.0, 1.0], size=m)
-                    for ref in self.REFS:
-                        args = (xs.copy(), ws.copy(), *_sweep_args(ref))
-                        assert _line_sup(*args) == _line_sup_reference(*args)
-                        cases += 1
+                    yield xs, ws
+
+    def test_line_sup_matches_reference(self):
+        cases = 0
+        for xs, ws in self._cases():
+            for ref in self.REFS:
+                args = _sweep_args(xs.copy(), ws.copy(), ref)
+                assert _line_sup(*args) == _reference_sweep(*args)
+                cases += 1
         assert cases >= 2000
+
+    def test_atoms_match_strict_mass_formulation(self):
+        """Sweeping an atomic reference as its atoms gives the sup of the
+        other formulation of the same quantity, which evaluates the
+        reference's weak and strict masses at the merged data and atom
+        positions, to within 1e-13: the two add the same masses in other
+        orders."""
+        atomic = [ref for ref in self.REFS if ref is not None and ref.atoms() is not None]
+        for xs, ws in self._cases():
+            for ref in atomic:
+                got = _line_sup(*_sweep_args(xs, ws, ref))[0]
+                want = _line_sup_reference(xs, ws, *_strict_mass_args(ref))[0]
+                assert got == pytest.approx(want, rel=0, abs=1e-13)
 
     def test_public_entry_points_match_reference(self):
         rng = np.random.default_rng(2025)
@@ -835,10 +933,10 @@ class TestSweepKernelExact:
             xs = rng.choice([0.1, 0.3, 0.5, 0.9, 0.95], size=m) if m % 2 else rng.uniform(size=m)
             ws = rng.choice([-1.0, 1.0], size=m) / m
             ref = self.REFS[int(rng.integers(1, len(self.REFS)))]
-            expected = _line_sup_reference(xs, ws, *_sweep_args(ref))[0]
+            expected = _reference_sweep(*_sweep_args(xs, ws, ref))[0]
             assert halfline_sup_weighted(xs, ws, ref) == expected
             s = Sample(xs[:, None], np.ones(m, dtype=np.int64))
-            val, t, o = _line_sup_reference(xs, np.full(m, 1.0 / m), *_sweep_args(ref))
+            val, t, o = _reference_sweep(*_sweep_args(xs, np.full(m, 1.0 / m), ref))
             res = sup_deviation(s, half_lines(), ref)
             assert (res.value, res.argmax.threshold, res.argmax.orientation) == (val, t, o)
 
