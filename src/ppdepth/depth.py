@@ -51,6 +51,7 @@ _UNIT_TOL = 1e-9
 _ANGLE_TIE_TOL = 1e-8
 _WOBBLE = 1e-7
 _MAX_DIRECTIONS = 1 << 16  # of an approx:K batch query, far below memory
+GRID_POINT_CAP = 1 << 20  # of a deepest-point grid scan, far below memory
 
 
 @dataclass(frozen=True)
@@ -328,6 +329,8 @@ def deepest_point(
         raise ValueError("search box must be nonempty and match the dimension")
     if measure.dim > 3:
         raise ValueError("deepest-point search covers dimensions 1 to 3")
+    if grid < 1 or grid**lo.size > GRID_POINT_CAP:
+        raise ValueError(f"grid must be >= 1 with grid^{lo.size} <= {GRID_POINT_CAP} points")
     axes = [np.linspace(lo[i], hi[i], grid) for i in range(lo.size)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     depths = np.array([_depth_value(measure, pt, k) for pt in mesh])

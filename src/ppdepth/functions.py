@@ -71,6 +71,8 @@ class Constant(EvalFunction):
     dim: None = field(init=False, default=None)
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant value must be finite, not {self.value}")
         object.__setattr__(self, "bound", max(abs(self.value), 1e-300))
 
     def _values(self, pts):
@@ -83,7 +85,7 @@ class HalfLineIndicator(EvalFunction):
 
     ``orientation=+1`` selects {x <= t} (the half-space with outward normal
     +1) and ``orientation=-1`` selects {x >= t}.  Infinite thresholds are
-    allowed and give the constant 1 or 0 function.
+    allowed and give the constant 1 or 0 function; NaN is refused.
     """
 
     threshold: float
@@ -94,6 +96,8 @@ class HalfLineIndicator(EvalFunction):
     def __post_init__(self):
         if self.orientation not in (-1, 1):
             raise ValueError("orientation must be +1 or -1")
+        if math.isnan(self.threshold):
+            raise ValueError("half-line threshold must not be NaN")
         object.__setattr__(self, "threshold", float(self.threshold))
 
     def _values(self, pts):
@@ -116,6 +120,8 @@ class HalfSpaceIndicator(EvalFunction):
         u = np.asarray(self.direction, dtype=float).reshape(-1)
         if x.shape != u.shape:
             raise ValueError("point and direction must have the same dimension")
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+            raise ValueError("half-space point and direction must be finite")
         norm = float(np.linalg.norm(u))
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction must be a unit vector, |u| = {norm}")
@@ -148,6 +154,8 @@ class Exponential(EvalFunction):
         a, b = float(self.domain[0]), float(self.domain[1])
         if not a <= b:
             raise ValueError("domain must satisfy a <= b")
+        if not all(map(math.isfinite, (self.theta, a, b))):
+            raise ValueError("exponential theta and domain must be finite")
         object.__setattr__(self, "domain", (a, b))
         object.__setattr__(
             self, "bound", max(math.exp(self.theta * a), math.exp(self.theta * b))
@@ -234,6 +242,8 @@ def exponentials(a: float, b: float, radius: float) -> FunctionClass:
     """The family {e^{theta x} : |theta| <= R} on [a, b]; v = 3."""
     if not a <= b:
         raise ValueError("domain must satisfy a <= b")
+    if not all(map(math.isfinite, (a, b, radius))):
+        raise ValueError("domain and radius must be finite")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     bound = max(

@@ -206,8 +206,8 @@ class Pmf(CountLaw):
 
     def __post_init__(self):
         p = tuple(float(x) for x in self.probs)
-        if not p or min(p) < 0:
-            raise ValueError("pmf needs nonnegative probabilities")
+        if not p or not all(math.isfinite(x) and x >= 0 for x in p):
+            raise ValueError("pmf needs finite nonnegative probabilities")
         if abs(sum(p) - 1.0) > _WEIGHT_TOL:
             raise ValueError("pmf must sum to 1")
         object.__setattr__(self, "probs", p)
@@ -287,14 +287,16 @@ class CoxMixture(CountLaw):
             raise ValueError("provide either atoms or lognormal parameters")
         if self.atoms is not None:
             atoms = tuple((float(t), float(w)) for t, w in self.atoms)
-            if any(t <= 0 for t, _ in atoms) or any(w < 0 for _, w in atoms):
-                raise ValueError("mixing atoms need rates > 0 and weights >= 0")
+            if not all(0 < t < math.inf and 0 <= w < math.inf for t, w in atoms):
+                raise ValueError("mixing atoms need finite rates > 0 and weights >= 0")
             if abs(sum(w for _, w in atoms) - 1.0) > _WEIGHT_TOL:
                 raise ValueError("mixing weights must sum to 1")
             object.__setattr__(self, "atoms", atoms)
         else:
-            if self.log_sigma is None or self.log_sigma < 0:
-                raise ValueError("lognormal sigma must be >= 0")
+            if self.log_sigma is None or not 0 <= self.log_sigma < math.inf:
+                raise ValueError("lognormal sigma must be finite and >= 0")
+            if not math.isfinite(self.log_mean):
+                raise ValueError("lognormal mean must be finite")
 
     def _mixing_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(rates, weights) of the mixing law, exact or by quadrature."""

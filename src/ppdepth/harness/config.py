@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..branching import VERTEX_CAP, expected_vertices, true_laplace
+from ..depth import GRID_POINT_CAP
 
 from ..functions import (
     Constant,
@@ -187,6 +188,9 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.count.moments().mean):
+                raise ConfigError("the count law has no finite mean")
         if not self.n_grid and self.kind in ("ulln", "clt", "bound", "depth", "diag"):
             raise ConfigError(f"{self.kind} needs a nonempty n_grid")
         if any(n < 1 for n in self.n_grid):
@@ -261,6 +265,8 @@ class ExperimentConfig:
             raise ConfigError(f"eval_points must be finite {d}-vectors, like disp")
         if self.depth_grid < 1:
             raise ConfigError("depth_grid must be >= 1")
+        if self.depth_grid**d > GRID_POINT_CAP:
+            raise ConfigError(f"depth_grid^{d} points exceed the cap of {GRID_POINT_CAP}")
         box = self.depth_box
         if box is None:
             return

@@ -24,7 +24,9 @@ three and above.
 Every half-line sweep takes its empirical masses from one rule: ``prefix``
 holds the m + 1 prefix sums of the sorted weights with a leading 0
 (``np.cumsum``), the weak mass (-inf, x] is ``prefix[#points <= x]`` and the
-strict mass (-inf, x) is ``prefix[#points < x]``.
+strict mass (-inf, x) is ``prefix[#points < x]``.  ``halfline_sup_rows``
+sweeps a block of samples (flat points, per-sample sizes, one weight or one
+per point), each bit for bit ``halfline_sup_weighted`` on its sample.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "signed_halfline_sup",
     "halfline_sup_weighted",
     "halfline_sup_rows",
-    "halfline_sup_ragged",
 ]
 
 
@@ -403,45 +404,21 @@ def signed_halfline_sup(sample: Sample, signs: np.ndarray) -> float:
     return halfline_sup_weighted(xs, ws, None)
 
 
-def halfline_sup_rows(rows: np.ndarray, n: int, ref: ReferenceMeasure) -> np.ndarray:
-    """Row-wise half-line sup deviation for B samples of equal layout.
-
-    ``rows`` has shape (B, m): the m one-dimensional points of each sample,
-    every point carrying weight 1/n.  Requires an atomless reference.  Row i
-    equals ``sup_deviation`` on that sample bit for bit.  Rows are copied,
-    sorted and reduced (``_sorted_row_sups``) in blocks of about 2^15
-    points, so each block's deviations stay in cache and ``rows`` is never
-    copied whole.
-    """
-    _check_line_ref(ref)
-    if ref.atoms() is not None:
-        raise ValueError("batched sweep requires an atomless reference")
-    rows = np.asarray(rows, dtype=float)
-    b, m = rows.shape
-    u = np.array([1.0])
-    prefix = _prefix(np.full(m, 1.0 / n))
-    out = np.empty(b)
-    per = max(1, (1 << 15) // m)
-    for lo in range(0, b, per):
-        block = rows[lo : lo + per].copy()
-        for row in block:  # row-wise sorts stay cache-resident, axis sorts do not
-            row.sort()
-        _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
-    return out
-
-
-def halfline_sup_ragged(
+def halfline_sup_rows(
     points, sizes, weights, ref: ReferenceMeasure | None = None
 ) -> np.ndarray:
     """``halfline_sup_weighted`` for B samples at once, bit for bit.
 
-    Sample i holds the next ``sizes[i]`` entries of the flat ``points`` and
-    ``weights``.  Samples go in blocks of about 2^15 points, each padded to
+    Sample i holds the next ``sizes[i]`` entries of the flat ``points``;
+    ``weights`` is one mass for every point (1/n for plain samples) or one
+    per point.  Samples go in blocks of about 2^15 points, each padded to
     its longest sample with points at +inf of weight 0: a padded point only
     repeats the total deviation as a candidate, which is already one.
-    Against an atomless reference all weights must be one positive value
-    (1/n for plain samples), and sorted rows go to ``_sorted_row_sups``.
-    ``ref = None`` means the zero measure and takes any signed weights
+    Against an atomless reference the weight must be one positive scalar:
+    sorted rows go to ``_sorted_row_sups`` with one shared prefix (``_prefix``
+    of the longest sample), and a padded row takes it up to its own size
+    and then holds its total, as its own cumsum of zeros would.  ``ref =
+    None`` means the zero measure and takes any signed weights
     (``_signed_row_sups``), as does an atomic reference, whose atoms follow
     the padding of every row at weights -mass: after the sample's points,
     as ``_ref_line_sup`` places them.
@@ -449,35 +426,46 @@ def halfline_sup_ragged(
     xs = np.asarray(points, dtype=float)
     ws = np.asarray(weights, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if ws.shape != xs.shape or xs.ndim != 1 or xs.size != sizes.sum():
-        raise ValueError("one weight per point and sizes summing to the points required")
+    if xs.ndim != 1 or ws.ndim and ws.shape != xs.shape or xs.size != sizes.sum():
+        raise ValueError("one weight, or one per point, and sizes summing to the points required")
     atoms = None if ref is None else ref.atoms()
     if ref is not None:
         _check_line_ref(ref)
-        if atoms is None and not (ws.size and ws[0] > 0 and (ws == ws[0]).all()):
-            raise ValueError("batched sweep against a reference needs one positive weight")
+    sorted_rows = ref is not None and atoms is None
+    if sorted_rows and not (ws.ndim == 0 and ws > 0):
+        raise ValueError("batched sweep against an atomless reference needs one positive weight")
     u = np.array([1.0])
     atom_xs, atom_ws = (np.empty(0), np.empty(0)) if atoms is None else (atoms[0] @ u, -atoms[1])
+    longest = int(sizes.max(initial=0))
+    if sorted_rows:
+        prefix = _prefix(np.full(longest, ws))
     out = np.empty(sizes.size)
     starts = np.cumsum(sizes) - sizes
-    per = max(1, (1 << 15) // max(1, int(sizes.max(initial=0)) + atom_xs.size))
+    per = max(1, (1 << 15) // max(1, longest + atom_xs.size))
     for lo in range(0, sizes.size, per):
         rows = sizes[lo : lo + per]
-        start, stop, width = starts[lo], starts[lo] + rows.sum(), int(rows.max())
-        filled = np.arange(width) < rows[:, None]
-        block = np.full((rows.size, width + atom_xs.size), np.inf)
-        block_ws = np.zeros(block.shape)
-        block[:, :width][filled] = xs[start:stop]
-        block_ws[:, :width][filled] = ws[start:stop]
-        block[:, width:], block_ws[:, width:] = atom_xs, atom_ws
-        if ref is None or atoms is not None:
-            _signed_row_sups(block, block_ws, out[lo : lo + per])
-        else:
+        start, stop, width = starts[lo], starts[lo] + rows.sum(), max(1, int(rows.max()))
+        block = _pad_rows(xs[start:stop], rows, width, np.inf, atom_xs)
+        if sorted_rows:
             block.sort(axis=1)
-            prefix = np.zeros((rows.size, width + 1))
-            np.cumsum(block_ws, axis=1, out=prefix[:, 1:])
-            _sorted_row_sups(block, u, prefix, ref, out[lo : lo + per])
+            padded = rows.min() < width
+            steps = np.minimum(np.arange(width + 1), rows[:, None]) if padded else slice(width + 1)
+            _sorted_row_sups(block, u, prefix[steps], ref, out[lo : lo + per])
+        else:
+            signed = np.broadcast_to(ws, xs.shape)[start:stop]
+            _signed_row_sups(block, _pad_rows(signed, rows, width, 0.0, atom_ws), out[lo : lo + per])
     return out
+
+
+def _pad_rows(flat, rows: np.ndarray, width: int, fill: float, tail: np.ndarray) -> np.ndarray:
+    """The flat entries as one row per sample (row i holds the next
+    ``rows[i]``), padded with ``fill`` to ``width`` columns, then ``tail``."""
+    if not tail.size and rows.min() == width:
+        return flat.reshape(rows.size, width).copy()
+    block = np.full((rows.size, width + tail.size), fill)
+    block[:, :width][np.arange(width) < rows[:, None]] = flat
+    block[:, width:] = tail
+    return block
 
 
 def _signed_row_sups(xs: np.ndarray, ws: np.ndarray, out: np.ndarray) -> None:

@@ -299,6 +299,12 @@ class TestDeepestPoint:
         with pytest.raises(ValueError):
             deepest_point(point_measure([[0.0]]), ([1.0], [0.0]), 5)
 
+    @pytest.mark.parametrize("grid", [0, 10**12])
+    def test_grid_outside_the_cap_rejected(self, grid):
+        """A grid of 10^12 points used to fail allocating its mesh."""
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            deepest_point(point_measure([[0.0]]), ([0.0], [1.0]), grid)
+
 
 class TestDepthSupDeviation:
     def test_self_reference_zero(self):

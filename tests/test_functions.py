@@ -85,3 +85,29 @@ class TestClasses:
     def test_finite_list_rejects_empty(self):
         with pytest.raises(ValueError):
             finite_list([])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Constant(math.inf),
+        lambda: Constant(math.nan),
+        lambda: HalfLineIndicator(math.nan),
+        lambda: HalfSpaceIndicator([math.nan, 0.0], [1.0, 0.0]),
+        lambda: HalfSpaceIndicator([0.0, 0.0], [math.nan, 1.0]),
+        lambda: Exponential(math.nan, (0.0, 1.0)),
+        lambda: Exponential(0.0, (-math.inf, 1.0)),
+        lambda: exponentials(0.0, 1.0, math.nan),
+        lambda: exponentials(0.0, 1.0, math.inf),
+        lambda: exponentials(-math.inf, 1.0, 0.5),
+    ],
+    ids=["constant-inf", "constant-nan", "half-line-nan", "half-space-point-nan",
+         "half-space-direction-nan", "exponential-theta-nan", "exponential-domain-inf",
+         "class-radius-nan", "class-radius-inf", "class-domain-inf"],
+)
+def test_non_finite_parameters_refused(build):
+    """A non-finite parameter would reach every value computed from the
+    function or class; infinite half-line thresholds stay allowed."""
+    with pytest.raises(ValueError, match="finite|NaN"):
+        build()
+    assert HalfLineIndicator(-math.inf)(np.array([0.0])) == 0.0

@@ -96,6 +96,27 @@ class TestChildGenerators:
         assert list(RngStream(1).child_generators("diag", 100, lo=4, hi=4)) == []
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Pmf((math.nan, 1.0)),
+        lambda: Pmf((math.inf, 0.0)),
+        lambda: CoxMixture(log_mean=0.0, log_sigma=math.nan),
+        lambda: CoxMixture(log_mean=math.nan, log_sigma=0.5),
+        lambda: CoxMixture(log_mean=0.0, log_sigma=math.inf),
+        lambda: CoxMixture(atoms=((math.nan, 1.0),)),
+        lambda: CoxMixture(atoms=((1.0, 0.5), (2.0, math.nan))),
+    ],
+    ids=["pmf-nan", "pmf-inf", "cox-sigma-nan", "cox-mean-nan", "cox-sigma-inf",
+         "cox-rate-nan", "cox-weight-nan"],
+)
+def test_count_laws_refuse_non_finite_parameters(build):
+    """Each passed the constructor's checks before, and only its mean
+    failed, once a study asked for it."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 class TestCountSampling:
     def test_fixed_always_k(self):
         vals = FixedCount(3).sample(RngStream(0).generator(), 1000)

@@ -10,8 +10,21 @@ import numpy as np
 import pytest
 
 import ppdepth
-from ppdepth import RngStream, reference_for
-from ppdepth.generators import draw_flat
+from ppdepth import (
+    CoxMixture,
+    DiagonalGaussian,
+    DiscretePoints,
+    EmpiricalReference,
+    FixedCount,
+    Pmf,
+    RngStream,
+    ShiftedPoisson,
+    UniformBox,
+    half_lines,
+    reference_for,
+    sup_deviation,
+)
+from ppdepth.generators import draw_flat, draw_sample
 from ppdepth.harness import (
     ConfigError,
     ResultRecord,
@@ -23,7 +36,7 @@ from ppdepth.harness import (
 from ppdepth import measure
 from ppdepth.harness import cli, runners
 from ppdepth.harness.cli import main as cli_main
-from ppdepth.harness.runners import _diag_block, _over_replicates
+from ppdepth.harness.runners import _deviation_block, _diag_block, _over_replicates
 from ppdepth.measure import halfline_sup_weighted
 
 
@@ -328,6 +341,51 @@ class TestRunners:
         assert got_devs.tobytes() == np.array(devs).tobytes()
         assert got_syms.tobytes() == np.array(syms).tobytes()
 
+    @pytest.mark.parametrize("cap", [None, 40], ids=["buffer", "overflowing-buffer"])
+    @pytest.mark.parametrize(
+        "count",
+        [ShiftedPoisson(1.0), Pmf((0.5, 0.3, 0.2)), CoxMixture(log_mean=0.0, log_sigma=0.5),
+         FixedCount(2)],
+        ids=["shifted-poisson", "pmf", "cox", "fixed"],
+    )
+    def test_deviation_block_matches_per_replicate_sup_deviation(self, monkeypatch, count, cap):
+        """The half-line deviation block gives, bit for bit, one
+        ``sup_deviation`` per replicate, for random and fixed counts against
+        atomless, discrete and empirical references, over several replicate
+        blocks.  Fixed counts sweep each block in one call; a 40-point
+        buffer cap makes draws overflow the buffer, and some exceed it, so a
+        block sweeps in several calls."""
+        if cap is not None:
+            monkeypatch.setattr(runners, "_SWEEP_POINTS", cap)
+        calls = []
+        sweep = runners.halfline_sup_rows
+        monkeypatch.setattr(runners, "halfline_sup_rows",
+                            lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        n, seed, reps, per = 12, 5, 30, 7
+        discrete = DiscretePoints([[0.1], [0.3], [0.5], [1.0]], [0.1, 0.4, 0.3, 0.2])
+        gaussian = DiagonalGaussian([0.3], [0.2])
+        empirical = EmpiricalReference(draw_sample(9, count, discrete, RngStream(1).generator()))
+        cases = [
+            (UniformBox([0.0], [1.0]), reference_for(count, UniformBox([0.0], [1.0]))),
+            (gaussian, reference_for(count, gaussian)),
+            (discrete, reference_for(count, discrete)),
+            (discrete, empirical),
+        ]
+        for disp, ref in cases:
+            want = [
+                sup_deviation(draw_sample(n, count, disp, RngStream(seed).child("ulln", n, r)
+                                          .generator()), half_lines(), ref).value
+                for r in range(reps)
+            ]
+            shared = (count, disp, half_lines(), ref, n, seed, "ulln")
+            got = [_deviation_block(shared, lo, min(lo + per, reps)) for lo in range(0, reps, per)]
+            assert np.concatenate(got).tobytes() == np.array(want).tobytes()
+        blocks = len(cases) * math.ceil(reps / per)
+        if cap is not None:
+            assert len(calls) > 2 * blocks  # about one replicate per call
+        elif isinstance(count, FixedCount):
+            assert len(calls) == blocks
+
     @pytest.mark.parametrize("seed", [0, 1, 20240817, 2**63 + 5])
     def test_diag_sign_draws_match_choice(self, seed):
         """The diag block's Rademacher signs, drawn by indexing with
@@ -465,17 +523,41 @@ class TestCli:
             ("ulln", {"disp": {"kind": "uniform", "low": [0.0], "high": [1e309]}}),
             ("ulln", {"disp": {"kind": "discrete", "points": [[float("nan")]], "weights": [1.0]}}),
             ("brw", {**BRW_GAUSSIAN, "replicates": 1}),
+            ("ulln", {"function_class": {"kind": "exponentials", "a": 0.0, "b": 1.0,
+                                         "radius": float("nan")}}),
+            ("clt", {"disp": BOX_2D, "replicates": 100, "function_class": {
+                "kind": "finite_list", "functions": [
+                    {"kind": "constant", "value": 1.0},
+                    {"kind": "half_space", "point": [float("nan"), 0.0], "direction": [1.0, 0.0]},
+                ]}}),
+            ("clt", {"replicates": 100, "function_class": {"kind": "finite_list", "functions": [
+                {"kind": "constant", "value": float("inf")},
+                {"kind": "half_line", "threshold": 0.5}]}}),
+            ("clt", {"replicates": 100, "function_class": {"kind": "finite_list", "functions": [
+                {"kind": "constant", "value": 1.0},
+                {"kind": "half_line", "threshold": float("nan")}]}}),
+            ("ulln", {"count": {"kind": "pmf", "probs": [float("nan"), 1.0]}}),
+            ("ulln", {"count": {"kind": "cox", "log_mean": 0.0, "log_sigma": float("nan")}}),
+            ("ulln", {"count": {"kind": "cox", "log_mean": 0.0, "log_sigma": 50.0}}),
+            ("depth", {**DEPTH_1D, "depth_grid": 10**12}),
+            ("depth", {**DEPTH_1D, "disp": BOX_2D, "eval_points": [[0.5, 0.5]],
+                       "depth_grid": 1025}),
         ],
         ids=["half-lines-on-plane", "half-spaces-1-on-plane", "half-spaces-2-on-line",
              "exponentials-on-plane", "clt-half-line-on-plane", "gaussian-std-inf",
-             "uniform-high-overflow", "discrete-point-nan", "brw-one-replicate"],
+             "uniform-high-overflow", "discrete-point-nan", "brw-one-replicate",
+             "exponentials-radius-nan", "half-space-point-nan", "constant-inf",
+             "half-line-threshold-nan", "pmf-prob-nan", "cox-log-sigma-nan",
+             "cox-mean-overflow", "depth-grid-over-cap", "depth-grid-2d-over-cap"],
     )
     def test_refused_before_any_output(self, tmp_path, capsys, kind, overrides):
         """A class or function of another dimension than the law, a
-        non-finite law parameter, and a brw study without a second
-        replicate for its variance are refused while the config is built:
-        exit 1, one line, no traceback and no output directory.  Before,
-        each ended in a traceback, or wrote NaN under exit 0."""
+        non-finite law, count, function or class parameter, a count law
+        without a finite mean, a depth grid of more points than the cap, and
+        a brw study without a second replicate for its variance are refused
+        while the config is built: exit 1, one line, no traceback and no
+        output directory.  Before, each ended in a traceback, or wrote NaN
+        under exit 0."""
         cfg = self._write(tmp_path, base_config(kind=kind, **overrides))
         out_dir = tmp_path / "out"
         assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 1
@@ -484,6 +566,20 @@ class TestCli:
         assert err.startswith("ppdepth: ")
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["bound", "diag"])
+    def test_underflowing_epsilon_fails_the_precondition(self, tmp_path, capsys, kind):
+        """An epsilon whose square underflows to 0 fails the n >= 8 E[L^2] /
+        eps^2 precondition, which it would need an infinite n to meet, where
+        it used to end in a ZeroDivisionError traceback."""
+        cfg = self._write(tmp_path, base_config(kind=kind, epsilon_grid=[1e-300]))
+        out_dir = tmp_path / "out"
+        assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out_dir / f"{kind}.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        pre = [r.split(",") for r in rows[1:] if "precondition_ok" in r]
+        assert pre and all(float(r[header.index("value")]) == 0.0 for r in pre)
 
     def test_tree_over_cap_at_run_time_exits_one(self, tmp_path, capsys, monkeypatch):
         """A tree that outgrows the vertex cap while it is grown (the config
@@ -662,7 +758,9 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 def test_benchmark_tracer_installs_and_uninstalls():
     """The benchmark's tracer patches ppdepth names (for example
-    ``runners.halfline_sup_weighted`` and ``EmpiricalReference.line_mass``):
+    ``runners.halfline_sup_weighted``, ``runners.halfline_sup_rows``, the one
+    block sweep of every one-dimensional study, and
+    ``EmpiricalReference.line_mass``):
     it installs on the current tree and puts every original back."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
@@ -674,6 +772,7 @@ def test_benchmark_tracer_installs_and_uninstalls():
     tracer.install()
     try:
         assert runners.halfline_sup_weighted is not before[0]["halfline_sup_weighted"]
+        assert runners.halfline_sup_rows is not before[0]["halfline_sup_rows"]
         assert measure.EmpiricalReference.line_mass is not before[3]["line_mass"]
     finally:
         tracer.uninstall()

@@ -41,7 +41,6 @@ from ppdepth.measure import (
     _line_sup,
     _pair_normal_directions,
     _ref_line_sup,
-    halfline_sup_ragged,
     halfline_sup_rows,
     halfline_sup_weighted,
 )
@@ -634,7 +633,7 @@ class TestExactLaw:
         n = 50
         ref = reference_for(FixedCount(1), UNIFORM01)
         rows = RngStream(2003).generator().uniform(size=(400, n))
-        sups = halfline_sup_rows(rows, n, ref)
+        sups = halfline_sup_rows(rows.ravel(), np.full(400, n), 1.0 / n, ref)
         law = kstwo(n)
         assert kstest(sups, law.cdf).pvalue > 1e-3
         assert kstest(sups + 1.0 / n, law.cdf).pvalue < 1e-3
@@ -652,7 +651,7 @@ class TestBatchedSweep:
                 rows = disp.sample(rng, 40 * 7 * k).reshape(40, 7 * k)  # 7 patterns
                 if tied:
                     rows = np.round(rows * 4.0) / 4.0
-                batch = halfline_sup_rows(rows, 7, ref)
+                batch = halfline_sup_rows(rows.ravel(), np.full(40, 7 * k), 1.0 / 7, ref)
                 for i, row in enumerate(rows):
                     s = Sample(tuple(PointPattern(p[:, None]) for p in row.reshape(7, k)))
                     assert batch[i] == sup_deviation(s, half_lines(), ref).value
@@ -667,10 +666,35 @@ class TestBatchedSweep:
         flat = halfline_sup_weighted(pts[:, 0], np.full(pts.shape[0], 1 / 9), ref)
         assert flat == sup_deviation(s, half_lines(), ref).value
 
-    def test_batch_rejects_atomic_reference(self):
-        ref = reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0]))
-        with pytest.raises(ValueError):
-            halfline_sup_rows(np.zeros((2, 3)), 3, ref)
+    def test_batch_sweeps_atomic_reference(self):
+        """An atomic reference, once refused by the equal-rows sweep, is
+        swept as its atoms: row i is ``sup_deviation`` on sample i, bit for
+        bit, on tied and untied rows."""
+        rng = np.random.default_rng(53)
+        law = DiscretePoints([[0.0], [0.25], [0.5]], [0.5, 0.3, 0.2])
+        for ref in (reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0])),
+                    reference_for(FixedCount(2), law)):
+            rows = np.concatenate([law.sample(rng, 30 * 6)[:, 0], rng.uniform(size=30 * 6)])
+            rows = rows.reshape(60, 6)
+            batch = halfline_sup_rows(rows.ravel(), np.full(60, 6), 1.0 / 6, ref)
+            for i, row in enumerate(rows):
+                s = Sample(row[:, None], np.ones(6, dtype=np.int64))
+                assert batch[i] == sup_deviation(s, half_lines(), ref).value
+
+    def test_array_weight_against_atomless_reference_is_refused(self):
+        """Against an atomless reference every point carries one positive
+        scalar mass: an array is refused, even of equal positive weights, as
+        are a zero and a negative scalar.  The zero measure and an atomic
+        reference take the same array."""
+        ref = reference_for(FixedCount(1), UNIFORM01)
+        xs = np.array([0.1, 0.2, 0.3])
+        for weights in (np.full(3, 1.0 / 3), 0.0, -1.0 / 3):
+            with pytest.raises(ValueError, match="one positive weight"):
+                halfline_sup_rows(xs, [3], weights, ref)
+        atomic = reference_for(FixedCount(1), DiscretePoints([[0.2]], [1.0]))
+        for other in (None, atomic):
+            got = halfline_sup_rows(xs, [3], np.full(3, 1.0 / 3), other)
+            assert got.tobytes() == halfline_sup_rows(xs, [3], 1.0 / 3, other).tobytes()
 
     @pytest.mark.parametrize("disp", [
         UniformBox([0.0, 0.0], [1.0, 1.0]),
@@ -687,16 +711,16 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="one-dimensional reference"):
             halfline_sup_weighted(xs, ws, ref)
         with pytest.raises(ValueError, match="one-dimensional reference"):
-            halfline_sup_rows(xs[None], 10, ref)
+            halfline_sup_rows(xs, [10], 0.1, ref)
         with pytest.raises(ValueError, match="one-dimensional reference"):
-            halfline_sup_ragged(xs, [10], ws, ref)
+            halfline_sup_rows(xs, [10], ws, ref)
 
 
 class TestRaggedSweep:
-    """``halfline_sup_ragged`` equals ``halfline_sup_weighted`` on every
-    sample, bit for bit, against atomless and atomic references with
-    weights 1/n, and against the zero measure and an atomic reference with
-    signed weights."""
+    """``halfline_sup_rows`` on samples of unequal sizes equals
+    ``halfline_sup_weighted`` on every sample, bit for bit, against atomless
+    and atomic references with the scalar weight 1/n, and against the zero
+    measure and an atomic reference with signed weights."""
 
     ATOMIC = reference_for(
         ShiftedPoisson(0.5), DiscretePoints([[0.1], [0.3], [0.5], [1.0]], [0.1, 0.4, 0.3, 0.2])
@@ -709,6 +733,7 @@ class TestRaggedSweep:
 
     @staticmethod
     def _per_sample(xs, sizes, ws, ref):
+        ws = np.broadcast_to(ws, xs.shape)
         ends = np.cumsum(sizes)
         return np.array([
             halfline_sup_weighted(xs[e - k : e], ws[e - k : e], ref)
@@ -716,7 +741,7 @@ class TestRaggedSweep:
         ])
 
     def _check(self, xs, sizes, ws, ref):
-        got = halfline_sup_ragged(xs, sizes, ws, ref)
+        got = halfline_sup_rows(xs, sizes, ws, ref)
         assert got.tobytes() == self._per_sample(xs, sizes, ws, ref).tobytes()
 
     @staticmethod
@@ -739,7 +764,7 @@ class TestRaggedSweep:
         for tied in (False, True):
             xs, sizes, signed = self._draw(rng, 60, n, tied)
             for ref in self.REFS:
-                self._check(xs, sizes, np.full(xs.size, 1.0 / n), ref)
+                self._check(xs, sizes, 1.0 / n, ref)
             self._check(xs, sizes, signed, None)
             self._check(xs, sizes, signed, self.ATOMIC)
 
@@ -747,7 +772,7 @@ class TestRaggedSweep:
         rng = np.random.default_rng(61)
         xs, sizes, signed = self._draw(rng, 30, 9)
         for sign in (1.0, -1.0):
-            self._check(xs, sizes, np.full(xs.size, sign / 9), None)
+            self._check(xs, sizes, sign / 9, None)
         ends = np.cumsum(sizes)
         mixed = np.concatenate([
             np.full(k, 1.0 / 9) if i % 2 else signed[e - k : e]
@@ -773,24 +798,38 @@ class TestRaggedSweep:
         xs = rng.uniform(size=int(sizes.sum()))
         signed = rng.choice([-1.0, 1.0], size=xs.size) / 1000
         for ref in self.REFS:
-            self._check(xs, sizes, np.full(xs.size, 1.0 / 1000), ref)
+            self._check(xs, sizes, 1.0 / 1000, ref)
         self._check(xs, sizes, signed, None)
+
+    def test_empty_samples(self):
+        """A sample of no points is its total deviation, |0 - mu(R)|, also
+        in a block of empty samples only."""
+        xs = np.array([0.4, 0.1, 0.7])
+        for sizes in ([0, 3, 0], [0, 0], [3, 0]):
+            pts = xs[: sum(sizes)]
+            signed = np.array([0.5, -0.5, 0.5])[: pts.size]
+            for ref in self.REFS:
+                self._check(pts, np.array(sizes), 0.5, ref)
+            self._check(pts, np.array(sizes), signed, None)
+            self._check(pts, np.array(sizes), signed, self.ATOMIC)
 
     def test_leaves_inputs_unchanged(self):
         rng = np.random.default_rng(64)
         xs, sizes, signed = self._draw(rng, 10, 5)
         copies = xs.copy(), signed.copy()
-        halfline_sup_ragged(xs, sizes, signed, None)
-        halfline_sup_ragged(xs, sizes, np.full(xs.size, 0.2), self.REFS[0])
+        halfline_sup_rows(xs, sizes, signed, None)
+        halfline_sup_rows(xs, sizes, 0.2, self.REFS[0])
         assert xs.tobytes() == copies[0].tobytes()
         assert signed.tobytes() == copies[1].tobytes()
 
     def test_rejects_bad_inputs(self):
         xs = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            halfline_sup_ragged(xs, [3], np.array([0.5, -0.5, 0.5]), self.REFS[0])
+            halfline_sup_rows(xs, [3], np.array([0.5, -0.5, 0.5]), self.REFS[0])
         with pytest.raises(ValueError):
-            halfline_sup_ragged(xs, [2], np.full(3, 0.5), None)
+            halfline_sup_rows(xs, [2], np.full(3, 0.5), None)
+        with pytest.raises(ValueError):
+            halfline_sup_rows(xs, [3], np.full(2, 0.5), None)
 
 
 def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
@@ -951,7 +990,7 @@ class TestSweepKernelExact:
             ref = reference_for(count, disp)
             n = m // count.k
             rows = disp.sample(rng, b * m).reshape(b, m)
-            got = halfline_sup_rows(rows, n, ref)
+            got = halfline_sup_rows(rows.ravel(), np.full(b, m), 1.0 / n, ref)
             assert got.tobytes() == _rows_reference(rows, n, ref).tobytes()
 
 
