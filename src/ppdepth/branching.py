@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -113,12 +112,17 @@ class BrwTree:
         """Exclusive prefix sums of the child counts of generation j."""
         return np.concatenate([[0], np.cumsum(self.counts[j])[:-1]]).astype(np.int64)
 
+    def _first_child(self, j: int, i: int) -> int:
+        """``child_offsets(j)[i]``, from the counts of the i vertices before
+        vertex i of generation j only."""
+        return int(self.counts[j][:i].sum())
+
     def label_of(self, j: int, i: int) -> tuple[int, ...]:
         """Ulam-Harris label of vertex i of generation j (root = ())."""
         label = []
         while j > 0:
             p = int(self.parent[j][i])
-            label.append(i - int(self.child_offsets(j - 1)[p]) + 1)
+            label.append(i - self._first_child(j - 1, p) + 1)
             i, j = p, j - 1
         return tuple(reversed(label))
 
@@ -128,9 +132,18 @@ class BrwTree:
         for child in label:
             if j >= len(self.counts) or not 1 <= child <= int(self.counts[j][i]):
                 raise KeyError(f"label {label} is not a vertex of this tree")
-            i = int(self.child_offsets(j)[i]) + child - 1
+            i = self._first_child(j, i) + child - 1
             j += 1
         return j, i
+
+    def step_segments(self, last: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The first displacement coordinate of generations 1 .. ``last``
+        (default J), concatenated, and the start of each generation in it:
+        the ``values, starts`` of one ``exact_sum`` call per tree."""
+        last = self.generations if last is None else last
+        steps = np.concatenate([d[:, 0] for d in self.disp[1 : last + 1]])
+        starts = np.cumsum([0] + [d.shape[0] for d in self.disp[1:last]])
+        return steps, starts
 
 
 def grow_tree(
@@ -172,7 +185,7 @@ def vertex_pattern(tree: BrwTree, label: tuple[int, ...]) -> PointPattern:
     j, i = tree.index_of(tuple(label))
     if j >= len(tree.counts):
         raise ValueError("children of the last generation are unobserved")
-    start = int(tree.child_offsets(j)[i])
+    start = tree._first_child(j, i)
     stop = start + int(tree.counts[j][i])
     return PointPattern(tree.disp[j + 1][start:stop])
 
@@ -199,21 +212,85 @@ def harris(tree: BrwTree, j: int, f: EvalFunction) -> float:
     return cumulative_estimates(tree, sums)[-1]
 
 
-def exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded float sum; keeps deterministic-tree identities exact
-    (blocked pairwise summation rounds sums of repeated values)."""
-    return math.fsum(values.tolist())
+# Limb width of the exact sum: a limb digit is an integer below 2^26 in
+# magnitude, so up to 2^27 digits sum exactly in float64.
+_LIMB_BITS = 26
+_SEGMENT_CAP = 1 << (53 - _LIMB_BITS)
+# Below 2^995 a segment of at most _SEGMENT_CAP values sums to below 2^1022,
+# so neither math.fsum nor the final rounding can overflow.
+_EXPONENT_CAP = 995
+
+
+def exact_sum(values: np.ndarray, starts=None):
+    """Correctly rounded float sum, bit for bit ``math.fsum``; keeps
+    deterministic-tree identities exact (blocked pairwise summation rounds
+    sums of repeated values).
+
+    With ``starts`` (increasing indices into ``values``), the array of the
+    sums of the segments ``values[starts[k]:starts[k + 1]]``, the last one
+    running to the end.  The values are scaled by a power of two below 2^26
+    and cut into limbs of 26 bits: the integer part is a limb's digits, the
+    fraction times 2^26 holds the rest.  Digits are integers, so their
+    segment sums are exact in float64.  The limbs of a segment are joined as
+    one Python int and rounded once by int true division, which CPython
+    rounds correctly.  Non-finite input, values from 2^995 up, segments
+    longer than 2^27 and a scaling that would underflow take ``math.fsum``
+    per segment, with its inf, nan and errors.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if starts is None:
+        return float(exact_sum(x, [0])[0]) if x.size else 0.0
+    starts = np.asarray(starts, dtype=np.intp)
+    in_range = starts.size and 0 <= starts[0] and starts[-1] < x.size
+    if not in_range or (np.diff(starts) <= 0).any():
+        raise ValueError("segment starts must be increasing indices into the values")
+    ends = np.append(starts[1:], x.size)
+    magnitude = max(x.max(), -x.min())  # nan or inf if any value is non-finite
+    if magnitude < 2.0**_EXPONENT_CAP and (ends - starts).max() <= _SEGMENT_CAP:
+        shift = int(np.frexp(magnitude)[1]) - _LIMB_BITS  # every |x| < 2^(shift + 26)
+        scaled = np.ldexp(x, -shift)
+        if shift <= 0 or (np.ldexp(scaled, shift) == x).all():
+            return _limb_sums(scaled, starts, shift)
+    return np.array([math.fsum(x[a:b].tolist()) for a, b in zip(starts, ends)])
+
+
+def _limb_sums(scaled: np.ndarray, starts: np.ndarray, shift: int) -> np.ndarray:
+    """The correctly rounded segment sums of ``scaled * 2^shift``, for
+    ``|scaled| < 2^26``; ``scaled`` is overwritten."""
+    limbs, digits = [], np.empty_like(scaled)
+    while True:
+        np.trunc(scaled, out=digits)
+        limbs.append(np.add.reduceat(digits, starts))
+        scaled -= digits  # the fraction, exact
+        if not scaled.any():
+            break
+        scaled *= 2.0**_LIMB_BITS
+        shift -= _LIMB_BITS
+    out = []
+    for row in np.array(limbs).astype(np.int64).T.tolist():
+        total = 0
+        for digit_sum in row:
+            total = (total << _LIMB_BITS) + digit_sum
+        out.append(total / (1 << -shift) if shift < 0 else float(total << shift))
+    return np.array(out)
 
 
 def cumulative_estimates(tree: BrwTree, gen_sums) -> list[float]:
     """The cumulative estimate for j = 0, 1, ... from the per-generation sums
-    ``gen_sums[l]`` = sum of f over V_{l+1}: the exact rational sum of
-    ``gen_sums[: j + 1]`` divided by T_j, rounded once."""
-    out, total, t_j = [], Fraction(0), 0
+    ``gen_sums[l]`` = sum of f over V_{l+1}: the exact sum of
+    ``gen_sums[: j + 1]`` divided by T_j, rounded once.  The exact sum is
+    kept as the integer ``total`` in units of 2^-scale, the finest unit of
+    the floats added so far."""
+    out, total, scale, t_j = [], 0, 0, 0
     for j, value in enumerate(gen_sums):
-        total += Fraction(value)
+        num, den = float(value).as_integer_ratio()  # den = 2^k
+        k = den.bit_length() - 1
+        if k > scale:
+            total <<= k - scale
+            scale = k
+        total += num << (scale - k)
         t_j += tree.size(j)
-        out.append(float(total / t_j))
+        out.append(total / (t_j << scale))
     return out
 
 
@@ -222,7 +299,8 @@ def laplace_estimates(tree: BrwTree, j: int, theta: float) -> tuple[float, float
     if tree.dim != 1:
         raise ValueError("Laplace transforms need one-dimensional displacements")
     _check_generation(tree, j)
-    gen_sums = [exact_sum(np.exp(theta * tree.disp[l][:, 0])) for l in range(1, j + 2)]
+    steps, starts = tree.step_segments(j + 1)
+    gen_sums = exact_sum(np.exp(theta * steps), starts).tolist()
     m_hat = gen_sums[-1] / tree.size(j)
     return m_hat, cumulative_estimates(tree, gen_sums)[-1]
 
@@ -262,20 +340,37 @@ def normalized_fluctuations(
 
 
 def dump_tree(tree: BrwTree, path) -> None:
-    """Write the tree; each generation's labels extend its parents' labels."""
-    labels: list[list[int]] = [[]]
+    """Write the tree, one ``writelines`` per generation; each generation's
+    labels extend its parents' labels."""
+    labels = [""]  # the text between a label's brackets
     with open(path, "w", encoding="utf-8") as fh:
         for j in range(tree.generations + 1):
             if j > 0:
                 parents = tree.parent[j]
                 births = np.arange(parents.size) - tree.child_offsets(j - 1)[parents] + 1
+                sep = ", " if j > 1 else ""
                 labels = [
-                    labels[p] + [b] for p, b in zip(parents.tolist(), births.tolist())
+                    f"{labels[p]}{sep}{b}" for p, b in zip(parents.tolist(), births.tolist())
                 ]
-            rows = zip(labels, tree.pos[j].tolist(), tree.disp[j].tolist())
-            for label, pos, disp in rows:
-                record = {"label": label, "pos": pos, "disp": disp, "gen": j}
-                fh.write(json.dumps(record) + "\n")
+            fh.writelines(_vertex_lines(j, labels, tree.pos[j], tree.disp[j]))
+
+
+def _vertex_lines(j: int, labels: list[str], pos: np.ndarray, disp: np.ndarray) -> list[str]:
+    """The records of generation j as ``json.dumps`` writes them: a finite
+    float's repr is its JSON text.  A record holding a non-finite value is
+    written by ``json.dumps`` itself."""
+    finite = (np.isfinite(pos).all(axis=1) & np.isfinite(disp).all(axis=1)).tolist()
+    lines = []
+    for label, p, d, ok in zip(labels, pos.tolist(), disp.tolist(), finite):
+        if ok:
+            p_txt, d_txt = ", ".join(map(repr, p)), ", ".join(map(repr, d))
+            lines.append(
+                f'{{"label": [{label}], "pos": [{p_txt}], "disp": [{d_txt}], "gen": {j}}}\n'
+            )
+        else:
+            record = {"label": json.loads(f"[{label}]"), "pos": p, "disp": d, "gen": j}
+            lines.append(json.dumps(record) + "\n")
+    return lines
 
 
 def load_tree(path) -> BrwTree:

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+# The largest rate numpy's Generator.poisson accepts ("lam value too large"
+# above it); a count law that would draw at a higher rate is refused.
+POISSON_RATE_CAP = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 _ZTP_INVERSION_CUTOFF = 30.0
 _HERMITE_NODES = 128
 
@@ -186,6 +189,10 @@ class ShiftedPoisson(CountLaw):
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("rate must be finite and >= 0")
+        if self.lam > POISSON_RATE_CAP:
+            raise ValueError(
+                f"rate {self.lam:g} is above the Poisson limit {POISSON_RATE_CAP:g}"
+            )
 
     def sample(self, gen, size):
         return 1 + gen.poisson(self.lam, size=size).astype(np.int64)
@@ -289,6 +296,10 @@ class CoxMixture(CountLaw):
             atoms = tuple((float(t), float(w)) for t, w in self.atoms)
             if not all(0 < t < math.inf and 0 <= w < math.inf for t, w in atoms):
                 raise ValueError("mixing atoms need finite rates > 0 and weights >= 0")
+            if any(t > POISSON_RATE_CAP for t, _ in atoms):
+                raise ValueError(
+                    f"mixing rates must be at most the Poisson limit {POISSON_RATE_CAP:g}"
+                )
             if abs(sum(w for _, w in atoms) - 1.0) > _WEIGHT_TOL:
                 raise ValueError("mixing weights must sum to 1")
             object.__setattr__(self, "atoms", atoms)
@@ -297,6 +308,11 @@ class CoxMixture(CountLaw):
                 raise ValueError("lognormal sigma must be finite and >= 0")
             if not math.isfinite(self.log_mean):
                 raise ValueError("lognormal mean must be finite")
+            if self.log_mean + self.log_sigma * self.log_sigma / 2.0 > math.log(POISSON_RATE_CAP):
+                raise ValueError(
+                    f"the lognormal mixing mean exp(log_mean + log_sigma^2 / 2) is above "
+                    f"the Poisson limit {POISSON_RATE_CAP:g}"
+                )
 
     def _mixing_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(rates, weights) of the mixing law, exact or by quadrature."""

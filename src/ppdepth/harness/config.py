@@ -48,6 +48,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "config_hash"]
 
 EXPERIMENT_KINDS = ("ulln", "clt", "bound", "depth", "brw", "diag", "simulate")
 
+# Cap on n E[L], the expected number of points of one replicate's sample:
+# a sample is drawn into memory whole, as a tree is (``VERTEX_CAP``).
+POINT_CAP = 10_000_000
+
 
 class ConfigError(ValueError):
     pass
@@ -189,12 +193,22 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         with np.errstate(over="ignore", invalid="ignore"):
-            if not math.isfinite(self.count.moments().mean):
-                raise ConfigError("the count law has no finite mean")
+            mean = self.count.moments().mean
+        if not math.isfinite(mean):
+            raise ConfigError("the count law has no finite mean")
         if not self.n_grid and self.kind in ("ulln", "clt", "bound", "depth", "diag"):
             raise ConfigError(f"{self.kind} needs a nonempty n_grid")
         if any(n < 1 for n in self.n_grid):
             raise ConfigError("sample sizes must be >= 1")
+        draws_samples = self.kind != "brw" and not (
+            self.kind == "simulate" and self.target == "tree"
+        )
+        n_max = max(self.n_grid, default=1)  # simulate draws one pattern without n_grid
+        if draws_samples and n_max > POINT_CAP / mean:
+            raise ConfigError(
+                f"n E[L] = {n_max} x {mean:.6g} expected points per replicate "
+                f"exceed the cap of {POINT_CAP}"
+            )
         if self.kind in ("ulln", "clt", "bound", "diag"):  # the kinds that use a class
             cls = self.function_class
             if cls is None:

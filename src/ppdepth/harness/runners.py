@@ -449,15 +449,13 @@ def _brw_block(shared, lo: int, hi: int):
     w_pair = np.empty((hi - lo, 2))
     for r in range(lo, hi):
         tree = grow_tree(count, disp, generations, RngStream(seed).child("brw", r))
+        steps, starts = tree.step_segments()
         gen_exp = {}
 
         def laplace_sums(theta):
             """Per-generation sums of e^{theta x} and the cumulative estimates."""
             if theta not in gen_exp:
-                sums = [
-                    exact_sum(np.exp(theta * tree.disp[l][:, 0]))
-                    for l in range(1, generations + 1)
-                ]
+                sums = exact_sum(np.exp(theta * steps), starts).tolist()
                 gen_exp[theta] = sums, cumulative_estimates(tree, sums)
             return gen_exp[theta]
 

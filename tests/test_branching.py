@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdepth import (
     Constant,
@@ -29,6 +32,7 @@ from ppdepth import (
     true_laplace,
     vertex_pattern,
 )
+from ppdepth.branching import BrwTree, cumulative_estimates, exact_sum
 
 STEP_ONE = DiscretePoints([[1.0]], [1.0])
 UNIFORM01 = UniformBox([0.0], [1.0])
@@ -171,6 +175,93 @@ class TestEstimators:
             harris(tree, -1, Constant(1.0))
 
 
+def fsum_segments(values, starts):
+    """The oracle: ``math.fsum`` of each segment."""
+    ends = list(starts[1:]) + [len(values)]
+    return np.array([math.fsum(values[a:b]) for a, b in zip(starts, ends)])
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+class TestExactSum:
+    """The segment sums are ``math.fsum`` of each segment bit for bit; a
+    plain ``np.add.reduceat`` fails the ties, cancellation and wide-span
+    cases."""
+
+    CASES = {
+        "cancellation": ([1e16, 1.0, -1e16, 3.0, -1.0, 1e-16, -3.0, 2.5], [0, 3, 5]),
+        "subnormals": ([1.0, TINY, -1.0, 3 * TINY, 1e-310, 2.2e-308, -1e-310, -TINY], [0, 4]),
+        "wide-span": (
+            [2.0**20, 1e-300, -(2.0**20), 2.0**-1000, 3.0, 2.0**-1070, -1.0, 1e-310], [0, 4]
+        ),
+        "wide-span-high": (
+            [1e290, 1e-300, -1e290, 2.0**-1000, 2.0**900, 1.0, -(2.0**900)], [0, 4]
+        ),
+        "one-element": ([0.1, -0.2, 1e-320, 3.5, -0.0, 7e300], [0, 1, 2, 3, 4, 5]),
+        "tie-even": ([1.0, 2.0**-53, 1.0, 2.0**-53, 2.0**-106], [0, 2]),
+        "tie-odd": ([1.0 + 2.0**-52, 2.0**-53, -1.0, -2.0**-53, -2.0**-106], [0, 2]),
+        "zeros": ([0.0, -0.0, -0.0, 1.0, -1.0], [0, 1, 3]),
+        "repeated": ([0.1] * 10 + [1 / 3] * 7, [0, 10]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_fsum_per_segment(self, name):
+        values, starts = self.CASES[name]
+        values = np.array(values)
+        got = exact_sum(values, starts)
+        assert got.tobytes() == fsum_segments(values.tolist(), starts).tobytes()
+
+    def test_whole_array_form(self):
+        values = np.array([1.0, 2.0**-53, 2.0**-106, -1e-300, 0.1, 0.2])
+        assert exact_sum(values) == math.fsum(values.tolist())
+        assert exact_sum(np.array([])) == 0.0
+
+    def test_non_finite_input_behaves_as_fsum(self):
+        got = exact_sum(np.array([1.0, np.inf, 2.0, np.nan, -np.inf, -1.0]), [0, 2, 3, 5])
+        np.testing.assert_array_equal(got, [np.inf, 2.0, np.nan, -1.0])
+        with pytest.raises(ValueError):
+            exact_sum(np.array([np.inf, -np.inf]), [0])
+        with pytest.raises(OverflowError):
+            exact_sum(np.array([1e308, 1e308, -1e308]), [0])
+
+    @pytest.mark.parametrize("starts", [[], [1, 1], [2, 1], [-1], [0, 4]])
+    def test_rejects_bad_starts(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            exact_sum(np.ones(4), starts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1.0, -1.0, 2.0**-53, 2.0**-106, TINY, -TINY, 1e300, -1e-300]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.data(),
+    )
+    def test_property_matches_fsum(self, values, data):
+        starts = sorted(data.draw(st.sets(st.integers(0, len(values) - 1), min_size=1)))
+        try:
+            expected = fsum_segments(values, starts)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                exact_sum(np.array(values), starts)
+            return
+        assert exact_sum(np.array(values), starts).tobytes() == expected.tobytes()
+
+    def test_cumulative_estimates_round_the_exact_rational_once(self):
+        tree = grow_tree(FixedCount(2), UNIFORM01, 6, RngStream(3))
+        sums = [1.0 + 2.0**-52, 2.0**-1070, 1e300, -1e300, 1 / 3, 0.1]
+        total, expected = Fraction(0), []
+        for j, value in enumerate(sums):
+            total += Fraction(value)
+            expected.append(float(total / tree.cumulative_size(j)))
+        assert cumulative_estimates(tree, sums) == expected
+
+
 class TestLaplace:
     def test_theta_zero_reduces_to_mass_estimators(self):
         tree = grow_tree(ShiftedPoisson(1.0), UNIFORM01, 5, RngStream(12))
@@ -267,6 +358,49 @@ class TestTreeSerialization:
             np.testing.assert_array_equal(loaded.pos[j], tree.pos[j])
             np.testing.assert_array_equal(loaded.disp[j], tree.disp[j])
             np.testing.assert_array_equal(loaded.parent[j], tree.parent[j])
+
+    @staticmethod
+    def json_dump(tree, path):
+        """The oracle: one ``json.dumps`` per record, labels from ``label_of``."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for j in range(tree.generations + 1):
+                for i in range(tree.size(j)):
+                    record = {"label": list(tree.label_of(j, i)), "pos": tree.pos[j][i].tolist(),
+                              "disp": tree.disp[j][i].tolist(), "gen": j}
+                    fh.write(json.dumps(record) + "\n")
+
+    @pytest.mark.parametrize(
+        "count,disp,generations",
+        [
+            (ShiftedPoisson(1.0), UNIFORM01, 5),
+            (ShiftedPoisson(1.0), DiagonalGaussian([0.0, 0.0], [1e-5, 3.0]), 4),
+            (FixedCount(2), DiscretePoints([[0.0]], [1.0]), 4),
+        ],
+        ids=["uniform-1d", "gaussian-2d", "zero-step"],
+    )
+    def test_dump_writes_the_json_dumps_bytes(self, tmp_path, count, disp, generations):
+        tree = grow_tree(count, disp, generations, RngStream(17))
+        dump_tree(tree, tmp_path / "tree.ndjson")
+        self.json_dump(tree, tmp_path / "oracle.ndjson")
+        text = (tmp_path / "tree.ndjson").read_bytes()
+        assert text == (tmp_path / "oracle.ndjson").read_bytes()
+        loaded = load_tree(tmp_path / "tree.ndjson")
+        for field in ("pos", "disp", "parent", "counts"):
+            for a, b in zip(getattr(loaded, field), getattr(tree, field)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_records_are_written_by_json_dumps(self, tmp_path):
+        tree = grow_tree(FixedCount(2), UNIFORM01, 2, RngStream(18))
+        disp = [d.copy() for d in tree.disp]
+        pos = [p.copy() for p in tree.pos]
+        disp[2][1, 0], pos[2][1, 0] = np.inf, np.inf
+        pos[2][3, 0] = np.nan
+        broken = BrwTree(tuple(disp), tree.parent, tuple(pos), tree.counts)
+        dump_tree(broken, tmp_path / "tree.ndjson")
+        self.json_dump(broken, tmp_path / "oracle.ndjson")
+        text = (tmp_path / "tree.ndjson").read_text()
+        assert text == (tmp_path / "oracle.ndjson").read_text()
+        assert "Infinity" in text and "NaN" in text
 
     def test_dumped_labels_match_label_of(self, tmp_path):
         tree = grow_tree(ShiftedPoisson(1.5), UNIFORM01, 5, RngStream(16))

@@ -23,7 +23,7 @@ from ppdepth import (
     sample_pattern,
     sample_sample,
 )
-from ppdepth.generators import draw_flat
+from ppdepth.generators import POISSON_RATE_CAP, draw_flat
 
 ALL_COUNT_LAWS = [
     FixedCount(3),
@@ -115,6 +115,32 @@ def test_count_laws_refuse_non_finite_parameters(build):
     failed, once a study asked for it."""
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ShiftedPoisson(1e19),
+        lambda: CoxMixture(atoms=((1e300, 1.0),)),
+        lambda: CoxMixture(atoms=((1.0, 1.0), (1e19, 0.0))),
+        lambda: CoxMixture(log_mean=50.0, log_sigma=0.0),
+        lambda: CoxMixture(log_mean=0.0, log_sigma=9.5),
+        lambda: CoxMixture(log_mean=0.0, log_sigma=1e200),
+    ],
+    ids=["shifted-poisson", "cox-atom", "cox-weightless-atom", "lognormal-mean",
+         "lognormal-sigma", "lognormal-sigma-squared-overflows"],
+)
+def test_count_laws_refuse_rates_above_the_poisson_limit(build):
+    """numpy's Poisson sampler raises "lam value too large" above its limit;
+    these passed the constructor and failed on the first draw."""
+    with pytest.raises(ValueError, match="Poisson limit"):
+        build()
+
+
+def test_rates_at_the_poisson_limit_are_drawn():
+    gen = RngStream(0).generator()
+    assert (ShiftedPoisson(POISSON_RATE_CAP).sample(gen, 3) > 1).all()
+    assert (CoxMixture(atoms=((POISSON_RATE_CAP, 1.0),)).sample(gen, 3) > 1).all()
 
 
 class TestCountSampling:

@@ -36,6 +36,7 @@ from ppdepth.harness import (
 from ppdepth import measure
 from ppdepth.harness import cli, runners
 from ppdepth.harness.cli import main as cli_main
+from ppdepth.harness.config import POINT_CAP
 from ppdepth.harness.runners import _deviation_block, _diag_block, _over_replicates
 from ppdepth.measure import halfline_sup_weighted
 
@@ -542,22 +543,31 @@ class TestCli:
             ("depth", {**DEPTH_1D, "depth_grid": 10**12}),
             ("depth", {**DEPTH_1D, "disp": BOX_2D, "eval_points": [[0.5, 0.5]],
                        "depth_grid": 1025}),
+            ("ulln", {"count": {"kind": "cox", "atoms": [[1e300, 1.0]]}}),
+            ("ulln", {"count": {"kind": "shifted_poisson", "lambda": 1e19}}),
+            ("ulln", {"count": {"kind": "cox", "log_mean": 50.0, "log_sigma": 0.0}}),
+            ("ulln", {"count": {"kind": "fixed", "k": 10**12}}),
+            ("simulate", {"target": "sample", "count": {"kind": "fixed", "k": 10**8}}),
         ],
         ids=["half-lines-on-plane", "half-spaces-1-on-plane", "half-spaces-2-on-line",
              "exponentials-on-plane", "clt-half-line-on-plane", "gaussian-std-inf",
              "uniform-high-overflow", "discrete-point-nan", "brw-one-replicate",
              "exponentials-radius-nan", "half-space-point-nan", "constant-inf",
              "half-line-threshold-nan", "pmf-prob-nan", "cox-log-sigma-nan",
-             "cox-mean-overflow", "depth-grid-over-cap", "depth-grid-2d-over-cap"],
+             "cox-mean-overflow", "depth-grid-over-cap", "depth-grid-2d-over-cap",
+             "cox-rate-over-poisson-limit", "poisson-rate-over-limit",
+             "lognormal-mean-over-poisson-limit", "count-over-point-cap",
+             "simulate-pattern-over-point-cap"],
     )
     def test_refused_before_any_output(self, tmp_path, capsys, kind, overrides):
         """A class or function of another dimension than the law, a
         non-finite law, count, function or class parameter, a count law
-        without a finite mean, a depth grid of more points than the cap, and
-        a brw study without a second replicate for its variance are refused
-        while the config is built: exit 1, one line, no traceback and no
-        output directory.  Before, each ended in a traceback, or wrote NaN
-        under exit 0."""
+        without a finite mean or drawing at a Poisson rate above numpy's
+        limit, a depth grid of more points than the cap, n E[L] above the
+        point cap, and a brw study without a second replicate for its
+        variance are refused while the config is built: exit 1, one line,
+        no traceback and no output directory.  Before, each ended in a
+        traceback, or wrote NaN under exit 0."""
         cfg = self._write(tmp_path, base_config(kind=kind, **overrides))
         out_dir = tmp_path / "out"
         assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 1
@@ -566,6 +576,36 @@ class TestCli:
         assert err.startswith("ppdepth: ")
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_sample_size_over_the_point_cap_allocates_nothing(self, tmp_path, capsys):
+        """n = 10^13 used to pass the config and end in a numpy
+        _ArrayMemoryError traceback after --out was created."""
+        import tracemalloc
+
+        cfg = self._write(tmp_path, base_config(n_grid=[10**13]))
+        out_dir = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli_main(["ulln", "--config", cfg, "--out", str(out_dir)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"cap of {POINT_CAP}" in err
+        assert not out_dir.exists()
+        assert peak < 2**20
+
+    def test_point_cap_admits_the_largest_studies(self):
+        """Criterion 5 and the benchmark's large-n studies draw 1e5 points,
+        or 2e5 with shifted Poisson(1) counts."""
+        build_config(base_config(n_grid=[100_000]))
+        build_config(base_config(n_grid=[10_000, 100_000],
+                                 count={"kind": "shifted_poisson", "lambda": 1.0}))
+        build_config(base_config(n_grid=[POINT_CAP]))
+        with pytest.raises(ConfigError, match="cap"):
+            build_config(base_config(n_grid=[POINT_CAP + 1]))
 
     @pytest.mark.parametrize("kind", ["bound", "diag"])
     def test_underflowing_epsilon_fails_the_precondition(self, tmp_path, capsys, kind):
