@@ -355,22 +355,19 @@ def dump_tree(tree: BrwTree, path) -> None:
             fh.writelines(_vertex_lines(j, labels, tree.pos[j], tree.disp[j]))
 
 
-def _vertex_lines(j: int, labels: list[str], pos: np.ndarray, disp: np.ndarray) -> list[str]:
-    """The records of generation j as ``json.dumps`` writes them: a finite
-    float's repr is its JSON text.  A record holding a non-finite value is
-    written by ``json.dumps`` itself."""
+def _vertex_lines(j: int, labels: list[str], pos: np.ndarray, disp: np.ndarray):
+    """The records of generation j as ``json.dumps`` writes them, one line at
+    a time (no generation-sized text is held): a finite float's repr is its
+    JSON text.  A record holding a non-finite value is written by
+    ``json.dumps`` itself."""
     finite = (np.isfinite(pos).all(axis=1) & np.isfinite(disp).all(axis=1)).tolist()
-    lines = []
     for label, p, d, ok in zip(labels, pos.tolist(), disp.tolist(), finite):
         if ok:
             p_txt, d_txt = ", ".join(map(repr, p)), ", ".join(map(repr, d))
-            lines.append(
-                f'{{"label": [{label}], "pos": [{p_txt}], "disp": [{d_txt}], "gen": {j}}}\n'
-            )
+            yield f'{{"label": [{label}], "pos": [{p_txt}], "disp": [{d_txt}], "gen": {j}}}\n'
         else:
             record = {"label": json.loads(f"[{label}]"), "pos": p, "disp": d, "gen": j}
-            lines.append(json.dumps(record) + "\n")
-    return lines
+            yield json.dumps(record) + "\n"
 
 
 def load_tree(path) -> BrwTree:
