@@ -370,15 +370,42 @@ def _vertex_lines(j: int, labels: list[str], pos: np.ndarray, disp: np.ndarray):
             yield json.dumps(record) + "\n"
 
 
+_LOAD_CHUNK = 1024  # lines per json.loads call of load_tree
+
+
+def _parsed_lines(chunk: list[tuple[int, str]]):
+    """(line number, value) of each (line number, text) in ``chunk``: one
+    ``json.loads`` of the lines as one array.  A chunk that does not parse
+    into one value per line is parsed line by line, lazily, so a bad line
+    raises its own error after the lines before it were yielded."""
+    try:
+        values = json.loads("[" + ",\n".join(text for _, text in chunk) + "]")
+    except (ValueError, RecursionError):
+        values = None
+    if values is None or len(values) != len(chunk):
+        values = (json.loads(text) for _, text in chunk)
+    return zip((lineno for lineno, _ in chunk), values)
+
+
+def _tree_records(fh):
+    """(line number, value) of every nonblank line, parsed ``_LOAD_CHUNK``
+    lines at a time; no text longer than one chunk is built."""
+    chunk = []
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line:
+            chunk.append((lineno, line))
+            if len(chunk) == _LOAD_CHUNK:
+                yield from _parsed_lines(chunk)
+                chunk = []
+    yield from _parsed_lines(chunk)
+
+
 def load_tree(path) -> BrwTree:
     """Load a JSON-lines tree dump, validating the position recursion."""
     by_gen: dict[int, list[dict]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
+        for lineno, rec in _tree_records(fh):
             if tuple(sorted(rec)) != ("disp", "gen", "label", "pos"):
                 raise ValueError(f"{path}:{lineno}: malformed vertex record")
             by_gen.setdefault(int(rec["gen"]), []).append(rec)
@@ -423,7 +450,8 @@ def load_tree(path) -> BrwTree:
         if (counts < 1).any():
             raise ValueError(f"generation {j - 1} has a childless vertex")
         birth = np.array([labels[idx][-1] for idx in order], dtype=np.int64)
-        expected = np.concatenate([np.arange(1, c + 1) for c in counts])
+        # 1, 2, ..., counts[p] for each parent p in turn
+        expected = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
         if birth.size != expected.size or (birth != expected).any():
             raise ValueError(f"sibling labels are not contiguous at generation {j}")
         counts_arrays.append(counts)

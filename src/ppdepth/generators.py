@@ -332,6 +332,11 @@ class CoxMixture(CountLaw):
             rates = t[gen.choice(len(t), size=size, p=w)]
         else:
             rates = np.exp(gen.normal(self.log_mean, self.log_sigma, size=size))
+            top = float(rates.max(initial=0.0))
+            if top > POISSON_RATE_CAP:
+                raise ValueError(
+                    f"lognormal mixing draw {top:g} is above the Poisson limit {POISSON_RATE_CAP:g}"
+                )
         return _ztp_sample(gen, rates)
 
     def moments(self):
@@ -408,6 +413,11 @@ class DisplacementLaw:
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(points, weights) when the law is purely atomic, else None."""
+        return None
+
+    def centre(self) -> np.ndarray | None:
+        """The point c about which the law is centrally symmetric (X - c and
+        c - X have one law), when it is known in closed form, else None."""
         return None
 
     def expectation(self, f: EvalFunction) -> float:
@@ -495,6 +505,9 @@ class UniformBox(DisplacementLaw):
         object.__setattr__(self, "low", lo)
         object.__setattr__(self, "high", hi)
         object.__setattr__(self, "dim", lo.size)
+
+    def centre(self):
+        return (self.low + self.high) / 2
 
     def sample(self, gen, size):
         if self.dim == 1:
@@ -630,6 +643,10 @@ class DiagonalGaussian(DisplacementLaw):
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
         object.__setattr__(self, "dim", m.size)
+
+    def centre(self):
+        """The mean, also along coordinates of zero std."""
+        return self.mean
 
     def sample(self, gen, size):
         return gen.normal(self.mean, self.std, size=(size, self.dim))

@@ -133,6 +133,11 @@ class ReferenceMeasure:
         """(points, masses) of a purely atomic reference, else None."""
         return None
 
+    def centre(self) -> np.ndarray | None:
+        """The centre of symmetry of the reference when it is known in
+        closed form (``DisplacementLaw.centre``), else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class MixedBinomialReference(ReferenceMeasure):
@@ -156,6 +161,10 @@ class MixedBinomialReference(ReferenceMeasure):
         """Each atom of a discrete displacement law at mass E[L] * weight."""
         atoms = self.disp.atoms()
         return None if atoms is None else (atoms[0], self.total_mass * atoms[1])
+
+    def centre(self):
+        """E[L] P_X is symmetric about the centre of P_X."""
+        return self.disp.centre()
 
     def pattern_covariance(self, f: EvalFunction, g: EvalFunction) -> float:
         """Cov[Y(f), Y(g)] for one pattern: E[L] Cov[f, g] + Var[L] E[f] E[g]."""
@@ -246,6 +255,9 @@ def _sweep_sups(weak_max, weak_min, strict_max, strict_min, dtot):
     )
 
 
+_COLUMN_CHUNK = 1 << 14  # points per row of one ``_sorted_row_sups`` pass
+
+
 def _prefix(ws: np.ndarray) -> np.ndarray:
     """The m + 1 prefix sums of the sorted weights ``ws``, with a leading 0."""
     prefix = np.zeros(ws.size + 1)
@@ -265,13 +277,18 @@ def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) ->
     deviations is ``hi``, the max of the weak ones, and the smallest is
     ``lo``, the min of the strict ones.  Inside a tie group each point's
     own prefix values lie between the group's strict and weak masses, so
-    ties need no special case.
+    ties need no special case.  Columns go in chunks of ``_COLUMN_CHUNK``,
+    so a long row builds no row-sized temporaries; max and min are exact,
+    so the chunks give the one-pass values.
     """
-    ref_vals = np.asarray(ref.line_mass(u, proj), dtype=float)
-    dev = prefix[..., 1:] - ref_vals
-    hi = dev.max(axis=1)
-    np.subtract(prefix[..., :-1], ref_vals, out=dev)
-    lo = dev.min(axis=1)
+    width = proj.shape[1]
+    for c in range(0, max(width, 1), _COLUMN_CHUNK):
+        stop = min(c + _COLUMN_CHUNK, width)
+        ref_vals = np.asarray(ref.line_mass(u, proj[:, c:stop]), dtype=float)
+        dev = prefix[..., c + 1 : stop + 1] - ref_vals
+        hi = dev.max(axis=1) if c == 0 else np.maximum(hi, dev.max(axis=1))
+        np.subtract(prefix[..., c:stop], ref_vals, out=dev)
+        lo = dev.min(axis=1) if c == 0 else np.minimum(lo, dev.min(axis=1))
     dtot = prefix[..., -1] - ref.total_mass
     out[:] = abs(dtot)
     for sup in _sweep_sups(hi, hi, lo, lo, dtot):

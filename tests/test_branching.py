@@ -32,6 +32,7 @@ from ppdepth import (
     true_laplace,
     vertex_pattern,
 )
+from ppdepth import branching
 from ppdepth.branching import BrwTree, cumulative_estimates, exact_sum
 
 STEP_ONE = DiscretePoints([[1.0]], [1.0])
@@ -413,6 +414,59 @@ class TestTreeSerialization:
             for i in range(tree.size(j))
         ]
         assert [(r["gen"], r["label"]) for r in records] == expected
+
+    @staticmethod
+    def assert_same_tree(a, b):
+        for field in ("pos", "disp", "parent", "counts"):
+            for x, y in zip(getattr(a, field), getattr(b, field), strict=True):
+                assert x.tobytes() == y.tobytes()
+
+    def test_loader_reads_across_chunks(self, tmp_path):
+        """Lines are parsed a chunk at a time: 8,191 vertices take 8 chunks
+        of 1024 lines, and blank lines count in no chunk."""
+        tree = grow_tree(FixedCount(2), UNIFORM01, 12, RngStream(19))
+        path = tmp_path / "tree.ndjson"
+        dump_tree(tree, path)
+        self.assert_same_tree(load_tree(path), tree)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("\n".join(lines[:3000]) + "  \n\n" + "".join(lines[3000:]))
+        self.assert_same_tree(load_tree(path), tree)
+
+    def test_non_finite_records_load(self, tmp_path):
+        tree = grow_tree(FixedCount(2), UNIFORM01, 2, RngStream(18))
+        disp = [d.copy() for d in tree.disp]
+        pos = [p.copy() for p in tree.pos]
+        disp[2][1, 0], pos[2][1, 0] = np.inf, np.inf
+        pos[2][3, 0] = np.nan
+        broken = BrwTree(tuple(disp), tree.parent, tuple(pos), tree.counts)
+        dump_tree(broken, tmp_path / "tree.ndjson")
+        with np.errstate(invalid="ignore"):  # inf - inf in the drift check
+            loaded = load_tree(tmp_path / "tree.ndjson")
+        self.assert_same_tree(loaded, broken)
+
+    ROOT = '{"label": [], "pos": [0.0], "disp": [0.0], "gen": 0}'
+    CHILD = '{"label": [1], "pos": [0.5], "disp": [0.5], "gen": 1}'
+
+    @pytest.mark.parametrize("lines,error,message", [
+        ([ROOT, "", CHILD, CHILD, '{"label": [1], "pos": [0.5], "disp": [0.5]}', "{"],
+         ValueError, r"tree\.ndjson:5: malformed vertex record$"),
+        ([ROOT, CHILD, CHILD, "{", '{"label": [1]}'],
+         json.JSONDecodeError, r"^Expecting property name enclosed in double quotes: line 1 "),
+        ([ROOT, f"{CHILD}, {CHILD}", CHILD],
+         json.JSONDecodeError, r"^Extra data: line 1 column 54 "),
+        ([ROOT, '{"label": [1], "pos": [0.5],', '"disp": [0.5], "gen": 1}'],
+         json.JSONDecodeError, r"^Expecting property name enclosed in double quotes: line 1 "),
+    ], ids=["bad-record-before-bad-json", "bad-json-before-bad-record", "two-records-on-a-line",
+            "record-split-over-two-lines"])
+    def test_loader_errors_are_per_line(self, tmp_path, monkeypatch, lines, error, message):
+        """Chunks of three lines: a chunk that does not parse as one value per
+        line is read line by line, so the first bad line raises its own
+        error, as if every line were parsed alone."""
+        monkeypatch.setattr(branching, "_LOAD_CHUNK", 3)
+        path = tmp_path / "tree.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=message):
+            load_tree(path)
 
     def test_loader_rejects_broken_recursion(self, tmp_path):
         path = tmp_path / "tree.ndjson"

@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import ndtr
 
 from ppdepth import (
@@ -28,7 +30,8 @@ from ppdepth import (
     sample_sample,
     sup_deviation,
 )
-from ppdepth.depth import _smooth_depth_2d
+from ppdepth import depth as depth_module
+from ppdepth.depth import _depth_value, _smooth_depth_2d
 from ppdepth.harness.cli import main as cli_main
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -306,6 +309,87 @@ class TestDeepestPoint:
             deepest_point(point_measure([[0.0]]), ([0.0], [1.0]), grid)
 
 
+class TestDeepestPointAtTheCentre:
+    """A reference E[L] P_X with P_X a uniform box or a diagonal Gaussian is
+    centrally symmetric about the centre of P_X, where half-space depth is
+    largest (Zuo & Serfling 2000, Thm 2.1).  When the box holds the centre,
+    ``deepest_point`` returns it with its depth and searches nothing."""
+
+    PLANAR = DiagonalGaussian([0.5, -1.0], [1.0, 3.0])
+    PLANAR_BOX = ([-1.0, -4.0], [2.0, 2.0])
+    CASES = [
+        (FixedCount(1), DiagonalGaussian([0.0], [1.0]), ([-3.0], [3.0]), 7),
+        (ShiftedPoisson(1.5), DiagonalGaussian([0.3], [2.0]), ([-3.0], [3.0]), 7),
+        (FixedCount(2), UniformBox([0.0], [1.0]), ([0.0], [1.0]), 17),
+        (FixedCount(2), UniformBox([0.0], [1.0]), ([0.0], [1.0]), 6),
+        (FixedCount(3), DiagonalGaussian([0.3], [0.0]), ([-1.0], [1.0]), 5),
+        (ShiftedPoisson(1.5), PLANAR, PLANAR_BOX, 7),
+        (ShiftedPoisson(1.5), PLANAR, PLANAR_BOX, 6),
+        (FixedCount(2), UniformBox([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0]), 5),
+        (FixedCount(2), UniformBox([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0]), 6),
+        (FixedCount(1), DiagonalGaussian([0.3, -0.2], [0.0, 1.0]), ([-1.0, -1.0], [1.0, 1.0]), 5),
+        (FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3), ([-1.0] * 3, [1.0] * 3), 3),
+        (ShiftedPoisson(1.5), DiagonalGaussian([0.0] * 3, [1.0] * 3), ([-1.0] * 3, [1.0] * 3), 4),
+        (FixedCount(1), UniformBox([0.0] * 3, [1.0, 2.0, 0.5]), ([0.0] * 3, [1.0, 2.0, 0.5]), 4),
+    ]
+    IDS = [
+        "gauss-1d-on", "gauss-1d-off-mass-2.5", "box-1d-on", "box-1d-off", "gauss-1d-zero-std",
+        "gauss-2d-on-mass-2.5", "gauss-2d-off-mass-2.5", "box-2d-on", "box-2d-off",
+        "gauss-2d-zero-std", "gauss-3d-on", "gauss-3d-off-mass-2.5", "box-3d-off",
+    ]
+
+    @pytest.mark.parametrize("count,disp,box,grid", CASES, ids=IDS)
+    def test_centre_beats_every_grid_node(self, count, disp, box, grid):
+        """x is the centre, d its depth, and no grid node is deeper."""
+        ref = reference_for(count, disp)
+        x, d = deepest_point(ref, box, grid)
+        assert x.tobytes() == np.asarray(disp.centre(), dtype=float).tobytes()
+        assert x.flags.writeable
+        assert d == _depth_value(ref, x)
+        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*box)]
+        for node in itertools.product(*axes):
+            assert d >= _depth_value(ref, np.array(node))
+
+    def test_one_depth_value_and_no_search(self, monkeypatch):
+        ref = reference_for(ShiftedPoisson(1.5), self.PLANAR)
+        calls = []
+        inner = depth_module._depth_value
+        monkeypatch.setattr(depth_module, "_depth_value", lambda *a: calls.append(a) or inner(*a))
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: calls.append("minimize"))
+        x, d = deepest_point(ref, self.PLANAR_BOX, 6)
+        assert len(calls) == 1 and calls[0][0] is ref
+        assert x.tolist() == [0.5, -1.0] and d == 1.25
+
+    def test_box_without_the_centre_runs_the_simplex(self, monkeypatch):
+        """mu = (0.5, -1) lies left of the box [1, 2] x [-4, 2].  Over the box
+        the Mahalanobis distance is least at (1, -1), depth lam Phi(-1/2);
+        x2 = -1 is off the 6-node grid, whose best nodes sit at x2 = -1.6 and
+        -0.4.  The Nelder-Mead refinement stops once its simplex agrees to
+        1e-10 in depth and position; near (1, -1) the depth falls off as
+        about 0.1 (x2 + 1)^2, so x2 lands within about 3e-5 of -1."""
+        ref = reference_for(ShiftedPoisson(1.5), self.PLANAR)
+        calls = []
+        inner = scipy.optimize.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        x, d = deepest_point(ref, ([1.0, -4.0], [2.0, 2.0]), 6)
+        assert calls == [1]
+        assert x[0] == 1.0 and abs(x[1] + 1.0) < 1e-4
+        assert d == pytest.approx(2.5 * float(ndtr(-0.5)), rel=1e-12)
+        assert d > _depth_value(ref, np.array([1.0, -1.6]))
+
+    @pytest.mark.parametrize("ref", [
+        point_measure(DIAMOND),
+        reference_for(FixedCount(1), DiscretePoints(DIAMOND, [0.25] * 4)),
+    ], ids=["empirical", "discrete"])
+    def test_atomic_measures_have_no_centre(self, ref):
+        assert ref.centre() is None
+
+
 class TestDepthSupDeviation:
     def test_self_reference_zero(self):
         s = Sample(tuple(PointPattern([[v]]) for v in (0.1, 0.4, 0.8)))
@@ -421,9 +505,8 @@ class TestGaussianDepthClosedForm:
         assert _smooth_depth_2d(self.REF, x) == pytest.approx(self._closed_form(x), rel=1e-9)
 
     def test_median_on_a_grid_node_is_exact(self):
-        """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing.  Every
-        other node is shallower, and no point is deeper than lam / 2, so the
-        refinement cannot move the answer."""
+        """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing, and the
+        centre rule returns it at lam / 2: no point is deeper."""
         x, d = deepest_point(self.REF, ((-1.0, -4.0), (2.0, 2.0)), 7)
         assert x.tolist() == self.MU.tolist()
         assert d == self.REF.total_mass / 2
@@ -433,17 +516,13 @@ class TestGaussianDepthClosedForm:
         (((-2.3, -5.1), (1.7, 2.9)), 8),
     ])
     def test_median_off_the_grid(self, box, grid):
-        """Off the grid the Nelder-Mead refinement finds mu.  It stops once
-        its simplex agrees to 1e-10 in depth and in position; near mu the
-        depth falls off as lam (1/2 - r / sqrt(2 pi)) in the Mahalanobis
-        distance r, so a depth within 1e-10 of lam / 2 puts x within
-        r = sqrt(2 pi) 1e-10 / lam = 1e-10 of mu.  Both boxes land within
-        3e-11; the bound is 1e-9."""
+        """Off the grid the median is mu itself, at depth lam / 2, whatever
+        the grid.  The simplex search is checked on a box without mu
+        (``TestDeepestPointAtTheCentre``)."""
         lam = self.REF.total_mass
         x, d = deepest_point(self.REF, box, grid)
-        assert np.linalg.norm((x - self.MU) / self.SIGMA) < 1e-9
-        assert lam / 2 - 1e-9 < d <= lam / 2
-        assert d == pytest.approx(self._closed_form(x), rel=1e-12)
+        assert x.tolist() == self.MU.tolist()
+        assert d == lam / 2 == self._closed_form(x)
 
 
 class TestBatchQueries:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ def test_rates_at_the_poisson_limit_are_drawn():
     gen = RngStream(0).generator()
     assert (ShiftedPoisson(POISSON_RATE_CAP).sample(gen, 3) > 1).all()
     assert (CoxMixture(atoms=((POISSON_RATE_CAP, 1.0),)).sample(gen, 3) > 1).all()
+
+
+def test_lognormal_draw_above_the_poisson_limit_is_refused():
+    """The mixing mean e^{43.5} is admitted, but a draw exceeds the limit
+    e^{43.67} with probability about 1/4; numpy's Poisson sampler used to
+    end in "lam value too large" (so did log_sigma = 9.3, about once per
+    10^6 draws).  The message names the largest draw and the limit."""
+    gen = RngStream(0).generator()
+    limit = re.escape(f"{POISSON_RATE_CAP:g}")
+    message = rf"^lognormal mixing draw \S+ is above the Poisson limit {limit}$"
+    with pytest.raises(ValueError, match=message):
+        CoxMixture(log_mean=43.0, log_sigma=1.0).sample(gen, 1000)
+    assert (CoxMixture(log_mean=43.0, log_sigma=0.0).sample(gen, 3) > 1).all()
 
 
 class TestCountSampling:

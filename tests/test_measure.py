@@ -486,6 +486,22 @@ class TestBlockedDirectionalSup:
     def _lattice(s):
         return Sample(np.round(s.all_points() * 4.0) / 4.0, s.sizes())
 
+    @pytest.mark.parametrize("disp", [
+        UniformBox([-1.0, 0.0], [2.0, 0.5]),
+        UniformBox([0.0, 0.0, 0.0], [1.0, 2.0, 0.5]),
+        DiagonalGaussian([0.3, -0.2], [1.0, 3.0]),
+    ], ids=["box", "box-3d", "gaussian"])
+    def test_direction_rows_across_column_chunks(self, disp, monkeypatch):
+        """Column chunks of 8 points: each direction's row of 50 points
+        crosses six chunk boundaries and keeps the one-direction bytes."""
+        monkeypatch.setattr(measure, "_COLUMN_CHUNK", 8)
+        ref = reference_for(FixedCount(1), disp)
+        pts = disp.sample(np.random.default_rng(67), 50)
+        ws = np.full(50, 1.0 / 50)
+        dirs = measure._sphere_directions(disp.dim, 64)
+        want = np.array([_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs])
+        assert _direction_sups(pts, ws, ref, dirs).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("m", [4, 8, 40])
     @pytest.mark.parametrize("disp", [
         UniformBox([0.0, 0.0], [1.0, 1.0]),
@@ -800,6 +816,35 @@ class TestRaggedSweep:
         for ref in self.REFS:
             self._check(xs, sizes, 1.0 / 1000, ref)
         self._check(xs, sizes, signed, None)
+
+    @pytest.mark.parametrize("width", [2 * measure._COLUMN_CHUNK + 3, 3 * measure._COLUMN_CHUNK])
+    def test_rows_longer_than_two_column_chunks(self, width):
+        """Rows of more than two column chunks, ending inside a chunk or on
+        a chunk boundary, give the one-pass values."""
+        rng = np.random.default_rng(width)
+        xs = rng.uniform(size=3 * width)
+        for ref in self.REFS[:2]:
+            self._check(xs, np.full(3, width), 1.0 / width, ref)
+
+    def test_poisson_rows_longer_than_a_column_chunk(self):
+        """The rows of ``ulln`` at n = 10^4 with shifted-Poisson(1) counts:
+        about 2 * 10^4 points per sample, one sample per block."""
+        rng = np.random.default_rng(65)
+        n = 10_000
+        sizes = np.array([int((1 + rng.poisson(1.0, size=n)).sum()) for _ in range(3)])
+        xs = rng.uniform(size=int(sizes.sum()))
+        for ref in self.REFS[:2]:
+            self._check(xs, sizes, 1.0 / n, ref)
+
+    def test_padded_rows_across_column_chunks(self, monkeypatch):
+        """Column chunks of 16 points: a block of ragged shifted-Poisson
+        samples, padded to its longest, crosses many chunk boundaries."""
+        monkeypatch.setattr(measure, "_COLUMN_CHUNK", 16)
+        rng = np.random.default_rng(66)
+        for n in (7, 100):
+            xs, sizes, _ = self._draw(rng, 60, n)
+            for ref in self.REFS[:2]:
+                self._check(xs, sizes, 1.0 / n, ref)
 
     def test_empty_samples(self):
         """A sample of no points is its total deviation, |0 - mu(R)|, also
