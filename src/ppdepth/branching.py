@@ -401,6 +401,11 @@ def _tree_records(fh):
     yield from _parsed_lines(chunk)
 
 
+def _check_finite(generation: int, disp: np.ndarray, pos: np.ndarray) -> None:
+    if not (np.isfinite(disp).all() and np.isfinite(pos).all()):
+        raise ValueError(f"generation {generation} has a non-finite position or displacement")
+
+
 def load_tree(path) -> BrwTree:
     """Load a JSON-lines tree dump, validating the position recursion."""
     by_gen: dict[int, list[dict]] = {}
@@ -417,6 +422,7 @@ def load_tree(path) -> BrwTree:
     parent_arrays = [np.full(1, -1, dtype=np.int64)]
     pos_arrays = [np.asarray([by_gen[0][0]["pos"]], dtype=float)]
     counts_arrays = []
+    _check_finite(0, disp_arrays[0], pos_arrays[0])
     if np.abs(pos_arrays[0]).max() > 0:
         raise ValueError("root must sit at the origin")
     for j in range(1, generations + 1):
@@ -440,6 +446,7 @@ def load_tree(path) -> BrwTree:
             disp_j[slot] = rec["disp"]
             pos_j[slot] = rec["pos"]
             new_index[label] = slot
+        _check_finite(j, disp_j, pos_j)
         drift = np.abs(pos_j - (pos_arrays[j - 1][parents] + disp_j)).max()
         if drift > 1e-12 * max(1, j):
             raise ValueError(

@@ -10,10 +10,12 @@ angles.  An independent brute-force oracle (point normals with tiny
 two-sided wobbles plus a large pseudo-random direction set) is provided for
 cross-validation, and a sampled-direction upper bound covers d >= 3.
 
-The deepest point of a reference with a closed-form centre of symmetry
-(``ReferenceMeasure.centre``: a uniform box or a diagonal Gaussian law,
-times E[L]) is that centre whenever the search box holds it; other measures
-and boxes take a grid scan and a simplex search (``deepest_point``).
+The deepest point in a box (``deepest_point``) is exact: a reference with a
+closed-form centre of symmetry (``ReferenceMeasure.centre``: a uniform box
+or a diagonal Gaussian law, times E[L]) takes that centre clipped to the
+box, and a purely atomic measure on the line or in the plane takes the
+deepest of its depth regions inside the box, found by bisecting the depth
+levels, each region cut out by lines through its atoms.
 
 Every mass comes from ``halfspace_mass``, one ``line_mass`` call per block of
 directions.  Half-spaces are closed: against every purely atomic measure
@@ -56,7 +58,7 @@ _UNIT_TOL = 1e-9
 _ANGLE_TIE_TOL = 1e-8
 _WOBBLE = 1e-7
 _MAX_DIRECTIONS = 1 << 16  # of an approx:K batch query, far below memory
-GRID_POINT_CAP = 1 << 20  # of a deepest-point grid scan, far below memory
+_LINE_BLOCK = 1 << 20  # (line, atom) pairs per block of _deepest_region
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,14 @@ def depth_approx(measure: ReferenceMeasure, x, k: int) -> DepthResult:
     return DepthResult(float(masses[best]), dirs[best], exact=False, tie_count=1)
 
 
-def _depth_value(measure: ReferenceMeasure, x: np.ndarray, k: int = 2048) -> float:
+def _depth_value(measure: ReferenceMeasure, x: np.ndarray) -> float:
     if measure.dim == 1:
         return depth_1d(measure, float(x[0])).depth
     if measure.dim == 2:
         if measure.atoms() is not None:
             return depth_2d_exact(measure, x).depth
         return _smooth_depth_2d(measure, x)
-    return depth_approx(measure, x, k).depth
+    return depth_approx(measure, x, 2048).depth
 
 
 @functools.cache
@@ -317,59 +319,126 @@ def _smooth_depth_2d(measure: ReferenceMeasure, x: np.ndarray, grid: int = 512) 
     return min(float(values[i]), mass(0.5 * (lo + hi)))
 
 
-def deepest_point(
-    measure: ReferenceMeasure,
-    box: tuple,
-    grid: int,
-    k: int = 2048,
-) -> tuple[np.ndarray, float]:
-    """Depth maximizer over a box.
+def _cut_box(corners: np.ndarray, u: np.ndarray, a: np.ndarray, tol: float):
+    """Vertices of the box (its ``corners`` in cyclic order) cut by every
+    {x : <x, u_k> >= a_k - tol}, or None when nothing is left.  On the
+    line the cut is an interval.  In the plane the polygon is clipped, each
+    time by the half-plane its vertices break most, until none breaks one
+    by more than 2 tol; a clip leaves every vertex within tol of its line,
+    so no half-plane is clipped twice."""
+    if corners.shape[1] == 1:
+        left = max(corners[0, 0], a[u[:, 0] > 0].max())
+        right = min(corners[1, 0], -a[u[:, 0] < 0].max())
+        return None if left > right + tol else np.array([[left], [right]])
+    poly = corners
+    while True:
+        gaps = a[:, None] - u @ poly.T
+        worst = gaps.max(axis=1)
+        k = int(np.argmax(worst))
+        if worst[k] <= 2 * tol:
+            return poly
+        s = tol - gaps[k]  # >= 0 inside the relaxed half-plane
+        inside = s >= 0
+        if not inside.any():
+            return None
+        nxt = np.roll(np.arange(poly.shape[0]), -1)
+        cross = inside != inside[nxt]
+        # vertex i if it is inside, then where edge i leaves or enters
+        out = np.stack([poly, poly], axis=1)
+        frac = s[cross] / (s[cross] - s[nxt][cross])
+        out[cross, 1] += frac[:, None] * (poly[nxt][cross] - poly[cross])
+        poly = out[np.stack([inside, cross], axis=1)]
 
-    When ``measure.centre()`` is known (a reference E[L] P_X with P_X a
-    uniform box or a diagonal Gaussian) and lies in the closed box, it is
-    the answer: half-space depth is largest at a centre of symmetry (Zuo &
-    Serfling 2000, Thm 2.1), so the centre and its depth ``_depth_value``
-    are returned after one evaluation.  Otherwise (empirical measures,
-    discrete laws, boxes that exclude the centre) a grid scan is followed
-    by one local simplex refinement.  For empirical measures the depth is
-    piecewise constant, so the grid resolution dominates; the refinement
-    only helps for smooth references.
+
+def _deepest_region(points: np.ndarray, masses: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Vertices of the deepest depth region inside the box [lo, hi] of a
+    weighted point set on the line or in the plane.
+
+    D_t = {x : depth(x) >= t} is the set where <x, u> >= a_u(t) for every
+    unit u, a_u(t) the smallest atom projection whose closed mass below
+    reaches t.  Between two directions along which two atoms project alike,
+    a_u(t) is the projection of one fixed atom, so on an arc shorter than
+    pi its cone is cut out by the arc's two ends.  The ends needed are
+    those where that atom changes, each a side of a line through two atoms
+    whose masses strictly beyond and closed beyond it bracket t, and +-e_i,
+    which cut every arc below pi; a_u(t) along +-e_i is likewise the side
+    of a line through one atom normal to e_i.  D_t only changes where t
+    passes one of these masses, so they are bisected for the largest t with
+    D_t meeting the box (Ruts & Rousseeuw 1996, CSDA 23)."""
+    m, d = points.shape
+    tol = _PROJ_TOL * max(1.0, np.abs(points).max(), np.abs(lo).max(), np.abs(hi).max())
+    sides = []  # blocks of (u, a, strict, closed), the side {x : <x, u> >= a}
+    for u in np.concatenate([np.eye(d), -np.eye(d)]):
+        proj = points @ u  # exact: one coordinate, signed
+        order = np.argsort(proj, kind="stable")
+        prefix = np.concatenate([[0.0], np.cumsum(masses[order])])
+        strict, closed = (prefix[np.searchsorted(proj[order], proj, side=side)]
+                          for side in ("left", "right"))
+        sides.append((np.tile(u, (m, 1)), proj, strict, closed))
+    corners = np.array([lo, hi])
+    if d == 2:
+        i, j = np.triu_indices(m, 1)
+        edge = points[j] - points[i]
+        length = np.hypot(edge[:, 0], edge[:, 1])
+        pair = length > tol
+        normal = edge[pair] @ np.array([[0.0, 1.0], [-1.0, 0.0]]) / length[pair, None]
+        offset = np.vecdot(normal, points[i[pair]])
+        below, on, above = np.empty((3, offset.size))
+        step = max(1, _LINE_BLOCK // m)
+        for start in range(0, offset.size, step):
+            rows = slice(start, start + step)
+            s = normal[rows] @ points.T - offset[rows, None]
+            below[rows], on[rows], above[rows] = (
+                (s < -tol) @ masses, (np.abs(s) <= tol) @ masses, (s > tol) @ masses
+            )
+        sides += [(normal, offset, below, below + on), (-normal, -offset, above, above + on)]
+        corners = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+    u, a, strict, closed = (np.concatenate(block) for block in zip(*sides))
+    slack = _PROJ_TOL * masses.sum()
+    levels = np.unique(np.concatenate([strict, closed]))
+    levels = levels[levels > slack]
+    best, feasible, infeasible = corners, -1, levels.size
+    while infeasible - feasible > 1:
+        mid = (feasible + infeasible) // 2
+        t = levels[mid] - slack
+        live = (strict < t) & (t <= closed)
+        cut = _cut_box(corners, u[live], a[live], tol)
+        if cut is None:
+            infeasible = mid
+        else:
+            feasible, best = mid, cut
+    return best
+
+
+def deepest_point(measure: ReferenceMeasure, box: tuple) -> tuple[np.ndarray, float]:
+    """A point of largest depth in the closed box [lo, hi], with its depth
+    ``_depth_value``.
+
+    A reference with a known ``centre()`` (E[L] P_X, P_X a uniform box or a
+    diagonal Gaussian law, any dimension) is symmetric under the reflection
+    of each coordinate about it, and depth is quasi-concave, so depth does
+    not rise as any |x_i - c_i| grows: the answer is the centre clipped to
+    the box (Zuo & Serfling 2000, Thm 2.1).  A purely atomic measure (an
+    empirical measure or a discrete law) on the line or in the plane gets
+    the mean of the vertices of its deepest region inside the box
+    (``_deepest_region``); in the plane that region is cut by lines through
+    pairs of atoms, so the cost grows as the cube of the atom count.
     """
     lo = np.atleast_1d(np.asarray(box[0], dtype=float))
     hi = np.atleast_1d(np.asarray(box[1], dtype=float))
     if lo.size != measure.dim or not (lo < hi).all():
         raise ValueError("search box must be nonempty and match the dimension")
-    if measure.dim > 3:
-        raise ValueError("deepest-point search covers dimensions 1 to 3")
-    if grid < 1 or grid**lo.size > GRID_POINT_CAP:
-        raise ValueError(f"grid must be >= 1 with grid^{lo.size} <= {GRID_POINT_CAP} points")
-    centre = measure.centre()
-    if centre is not None and (lo <= centre).all() and (centre <= hi).all():
-        x = np.array(centre, dtype=float)
-        return x, _depth_value(measure, x, k)
-    axes = [np.linspace(lo[i], hi[i], grid) for i in range(lo.size)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    depths = np.array([_depth_value(measure, pt, k) for pt in mesh])
-    best_idx = int(np.argmax(depths))
-    best_x, best_d = mesh[best_idx].copy(), float(depths[best_idx])
-
-    from scipy.optimize import minimize
-
-    def objective(z):
-        z = np.clip(z, lo, hi)
-        return -_depth_value(measure, z, k)
-
-    result = minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-10},
-    )
-    refined = np.clip(result.x, lo, hi)
-    refined_depth = _depth_value(measure, refined, k)
-    if refined_depth > best_d:
-        return refined, refined_depth
-    return best_x, best_d
+    atoms = measure.atoms()
+    if atoms is not None:
+        if measure.dim > 2:
+            raise ValueError("the deepest point of an atomic measure covers dimensions 1 and 2")
+        x = _deepest_region(*atoms, lo, hi).mean(axis=0)
+    else:
+        x = measure.centre()
+        if x is None:
+            raise ValueError("the deepest point needs atoms or a centre of symmetry")
+    x = np.clip(x, lo, hi)  # the region's vertices may round past the box
+    return x, _depth_value(measure, x)
 
 
 def depth_sup_deviation(sample: Sample, ref: ReferenceMeasure, eval_points) -> float:

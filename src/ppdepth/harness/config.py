@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..branching import VERTEX_CAP, expected_vertices, true_laplace
-from ..depth import GRID_POINT_CAP
-
 from ..functions import (
     Constant,
     EvalFunction,
@@ -177,7 +175,6 @@ class ExperimentConfig:
     beta: float = 1.01
     eval_points: tuple[tuple[float, ...], ...] = ()
     depth_box: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-    depth_grid: int = 16
     gt_draws: int = 1_000_000
     fluct_theta: float = 1.0
     target: str = "sample"
@@ -277,10 +274,6 @@ class ExperimentConfig:
             raise ConfigError("depth experiments need eval_points")
         if not all(len(p) == d and all(map(math.isfinite, p)) for p in self.eval_points):
             raise ConfigError(f"eval_points must be finite {d}-vectors, like disp")
-        if self.depth_grid < 1:
-            raise ConfigError("depth_grid must be >= 1")
-        if self.depth_grid**d > GRID_POINT_CAP:
-            raise ConfigError(f"depth_grid^{d} points exceed the cap of {GRID_POINT_CAP}")
         box = self.depth_box
         if box is None:
             return
@@ -350,7 +343,6 @@ _FIELDS = {
     "beta": ("beta", float, 1.01),
     "eval_points": ("eval_points", _points, ()),
     "depth_box": ("depth_box", _box, None),
-    "depth_grid": ("depth_grid", _int, 16),
     "gt_draws": ("gt_draws", _int, 1_000_000),
     "fluct_theta": ("fluct_theta", float, 1.0),
     "target": ("target", str, "sample"),

@@ -371,7 +371,7 @@ def run_bound(config: ExperimentConfig, threads: int | None = None) -> RunOutput
 
 
 def _depth_block(shared, lo: int, hi: int):
-    count, disp, ref, n, seed, eval_points, box, grid, deepest_cap = shared
+    count, disp, ref, n, seed, eval_points, box, deepest_cap = shared
     cls = half_spaces(disp.dim)
     dev_rows = np.empty(hi - lo)
     sup_rows = np.empty(hi - lo)
@@ -382,7 +382,7 @@ def _depth_block(shared, lo: int, hi: int):
         dev_rows[r - lo] = depth_sup_deviation(sample, ref, eval_points)
         sup_rows[r - lo] = sup_deviation(sample, cls, ref).value
         if r < deepest_cap:
-            x_star, d_star = deepest_point(EmpiricalReference(sample), box, grid)
+            x_star, d_star = deepest_point(EmpiricalReference(sample), box)
             deepest.append((r, x_star, d_star))
     return dev_rows, sup_rows, deepest
 
@@ -396,14 +396,14 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
             box = (tuple(config.disp.low), tuple(config.disp.high))
         else:
             box = (tuple([-3.0] * d), tuple([3.0] * d))
-    ref_median, _ = deepest_point(ref, box, config.depth_grid)
+    ref_median, _ = deepest_point(ref, box)
     records: list[ResultRecord] = []
     violations = 0
     means = []
     deepest_cap = min(config.replicates, 8)
     for n in config.n_grid:
         shared = (config.count, config.disp, ref, n, config.seed, config.eval_points,
-                  box, config.depth_grid, deepest_cap)
+                  box, deepest_cap)
         devs, sups, deepest = _over_replicates(_depth_block, shared, config, threads)
         params = (("n", n),)
         for r, (dv, sv) in enumerate(zip(devs, sups)):

@@ -433,16 +433,20 @@ class TestTreeSerialization:
         self.assert_same_tree(load_tree(path), tree)
 
     def test_non_finite_records_load(self, tmp_path):
+        """A NaN or infinite position or displacement, the root's included,
+        is refused with its generation; a NaN drift once passed the
+        recursion check."""
         tree = grow_tree(FixedCount(2), UNIFORM01, 2, RngStream(18))
-        disp = [d.copy() for d in tree.disp]
-        pos = [p.copy() for p in tree.pos]
-        disp[2][1, 0], pos[2][1, 0] = np.inf, np.inf
-        pos[2][3, 0] = np.nan
-        broken = BrwTree(tuple(disp), tree.parent, tuple(pos), tree.counts)
-        dump_tree(broken, tmp_path / "tree.ndjson")
-        with np.errstate(invalid="ignore"):  # inf - inf in the drift check
-            loaded = load_tree(tmp_path / "tree.ndjson")
-        self.assert_same_tree(loaded, broken)
+        for gen, field, vertex, value in [
+            (2, "pos", 3, np.nan), (2, "disp", 1, np.inf), (1, "pos", 0, -np.inf),
+            (0, "disp", 0, np.nan),
+        ]:
+            arrays = {name: [a.copy() for a in getattr(tree, name)] for name in ("disp", "pos")}
+            arrays[field][gen][vertex, 0] = value
+            broken = BrwTree(tuple(arrays["disp"]), tree.parent, tuple(arrays["pos"]), tree.counts)
+            dump_tree(broken, tmp_path / "tree.ndjson")
+            with pytest.raises(ValueError, match=f"^generation {gen} has a non-finite"):
+                load_tree(tmp_path / "tree.ndjson")
 
     ROOT = '{"label": [], "pos": [0.0], "disp": [0.0], "gen": 0}'
     CHILD = '{"label": [1], "pos": [0.5], "disp": [0.5], "gen": 1}'

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.special import ndtr
 
 from ppdepth import (
@@ -187,7 +186,7 @@ class TestDepth2dExact:
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0], [1.0, 3.0]])
         weights = [0.1, 0.2, 0.2, 0.1, 0.3, 0.1]
         ref = reference_for(ShiftedPoisson(0.5), DiscretePoints(pts, weights))
-        x, d = deepest_point(ref, ([-1.0, -1.0], [3.0, 3.0]), 9)
+        x, d = deepest_point(ref, ([-1.0, -1.0], [3.0, 3.0]))
         assert d == pytest.approx(depth_oracle(pts, x, weights=ref.atoms()[1]), abs=1e-12)
         assert d >= 0.3 * ref.total_mass
 
@@ -255,7 +254,7 @@ class TestDepthApprox:
         """The standard Gaussian's depth at x is Phi(-|x|); sampled
         directions bound it from above, and some direction has mass <= 1/2."""
         ref = reference_for(FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3))
-        x, d = deepest_point(ref, ([-1.0] * 3, [1.0] * 3), 4)
+        x, d = deepest_point(ref, ([-1.0] * 3, [1.0] * 3))
         assert ndtr(-np.linalg.norm(x)) - 1e-12 <= d <= 0.5 + 1e-12
 
     def test_one_line_mass_call_per_call(self, monkeypatch):
@@ -280,40 +279,113 @@ class TestDepthApprox:
         assert abs(res.depth - 0.5) <= 0.01
 
 
+def _best_depth_in_box_2d(measure, lo, hi) -> float:
+    """Brute force: the largest exact depth over every point where the
+    deepest region inside the box can have a vertex (atoms, crossings of
+    two lines through atom pairs, such lines meeting a box edge, and the
+    box corners)."""
+    pts = measure.atoms()[0]
+    lines = [(p, q - p) for p, q in itertools.combinations(pts, 2) if (p != q).any()]
+    candidates = [*pts, *map(np.array, itertools.product(*zip(lo, hi)))]
+    for (p, e), (q, f) in itertools.combinations(lines, 2):
+        det = e[0] * f[1] - e[1] * f[0]
+        if det != 0:
+            candidates.append(p + e * ((q - p)[0] * f[1] - (q - p)[1] * f[0]) / det)
+    for p, e in lines:
+        for k in (0, 1):
+            if e[k] != 0:
+                candidates += [p + e * (v - p[k]) / e[k] for v in (lo[k], hi[k])]
+    return max(
+        depth_2d_exact(measure, np.clip(x, lo, hi)).depth
+        for x in candidates if ((lo - 1e-9 <= x) & (x <= hi + 1e-9)).all()
+    )
+
+
 class TestDeepestPoint:
     def test_diamond_median(self):
-        x, d = deepest_point(point_measure(DIAMOND), ([-1.5, -1.5], [1.5, 1.5]), 13)
+        x, d = deepest_point(point_measure(DIAMOND), ([-1.5, -1.5], [1.5, 1.5]))
         assert np.linalg.norm(x) <= 0.3
         assert d == pytest.approx(0.5)
 
     def test_single_point_measure(self):
         m = point_measure([[0.4, 0.6]] * 3)
-        x, d = deepest_point(m, ([0.0, 0.0], [1.0, 1.0]), 11)
+        x, d = deepest_point(m, ([0.0, 0.0], [1.0, 1.0]))
         assert np.linalg.norm(x - [0.4, 0.6]) <= 0.11
         assert d == pytest.approx(1.0)
 
     def test_uniform_line_median(self):
         ref = reference_for(FixedCount(1), UniformBox([0.0], [1.0]))
-        x, d = deepest_point(ref, ([0.0], [1.0]), 41)
+        x, d = deepest_point(ref, ([0.0], [1.0]))
         assert x[0] == pytest.approx(0.5, abs=1e-6)
         assert d == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_region_rejected(self):
-        with pytest.raises(ValueError):
-            deepest_point(point_measure([[0.0]]), ([1.0], [0.0]), 5)
+        """An inverted box, and an atomic measure in three dimensions."""
+        for measure, box in [
+            (point_measure([[0.0]]), ([1.0], [0.0])),
+            (point_measure([[0.0, 0.0, 0.0]]), ([-1.0] * 3, [1.0] * 3)),
+        ]:
+            with pytest.raises(ValueError):
+                deepest_point(measure, box)
 
-    @pytest.mark.parametrize("grid", [0, 10**12])
-    def test_grid_outside_the_cap_rejected(self, grid):
-        """A grid of 10^12 points used to fail allocating its mesh."""
-        with pytest.raises(ValueError, match="grid must be >= 1"):
-            deepest_point(point_measure([[0.0]]), ([0.0], [1.0]), grid)
+    def test_line_matches_the_best_atom(self):
+        """On the line the depth is the smaller closed tail mass, so its
+        maximum over the box sits at an atom or an end of the box.  Integer
+        atoms tie, patterns hold up to three points, half the measures are
+        weighted discrete laws, and many boxes hold no median."""
+        rng = np.random.default_rng(23)
+        for case in range(200):
+            sizes = rng.integers(1, 4, size=int(rng.integers(1, 6)))
+            pts = rng.integers(-4, 5, size=(sizes.sum(), 1)).astype(float)
+            if case % 2:
+                w = rng.uniform(0.1, 1.0, size=pts.shape[0])
+                measure = reference_for(ShiftedPoisson(0.5), DiscretePoints(pts, w / w.sum()))
+            else:
+                measure = EmpiricalReference(Sample(pts, sizes))
+            lo = rng.uniform(-5.0, 4.0)
+            hi = lo + rng.uniform(0.1, 3.0)
+            x, d = deepest_point(measure, ([lo], [hi]))
+            atoms, w = measure.atoms()
+            ends = [v for v in atoms[:, 0] if lo <= v <= hi] + [lo, hi]
+            best = max(min(w[atoms[:, 0] <= v].sum(), w[atoms[:, 0] >= v].sum()) for v in ends)
+            assert lo <= x[0] <= hi
+            assert d == pytest.approx(best, abs=1e-12)
+
+    def test_plane_matches_brute_force(self):
+        """200 seeded planar cases of at most 10 atoms: integer-lattice
+        ties, collinear atoms, weighted discrete laws and boxes that miss
+        the hull (depth 0)."""
+        rng = np.random.default_rng(29)
+        misses = 0
+        for case in range(200):
+            m = int(rng.integers(1, 11))
+            if case % 4 == 0:
+                pts = rng.integers(-2, 3, size=(m, 2)).astype(float)
+            elif case % 4 == 1:
+                t = rng.integers(-3, 4, size=m).astype(float)
+                pts = np.stack([t, 2.0 * t + 1.0] if case % 8 == 1 else [0.0 * t + 1.0, t], axis=1)
+            else:
+                pts = rng.normal(size=(m, 2))
+            if case % 4 == 3:
+                w = rng.uniform(0.1, 1.0, size=m)
+                measure = reference_for(ShiftedPoisson(0.5), DiscretePoints(pts, w / w.sum()))
+            else:
+                measure = point_measure(pts)
+            centre, half = rng.uniform(-3.0, 3.0, size=2), rng.uniform(0.2, 2.5, size=2)
+            lo, hi = centre - half, centre + half
+            x, d = deepest_point(measure, (lo, hi))
+            assert ((lo <= x) & (x <= hi)).all()
+            assert d == pytest.approx(_best_depth_in_box_2d(measure, lo, hi), abs=1e-12)
+            misses += d == 0.0
+        assert misses > 0
 
 
 class TestDeepestPointAtTheCentre:
     """A reference E[L] P_X with P_X a uniform box or a diagonal Gaussian is
     centrally symmetric about the centre of P_X, where half-space depth is
-    largest (Zuo & Serfling 2000, Thm 2.1).  When the box holds the centre,
-    ``deepest_point`` returns it with its depth and searches nothing."""
+    largest (Zuo & Serfling 2000, Thm 2.1); its depth falls as any
+    coordinate moves away from it.  ``deepest_point`` returns the centre
+    clipped to the box, with its depth, and searches nothing."""
 
     PLANAR = DiagonalGaussian([0.5, -1.0], [1.0, 3.0])
     PLANAR_BOX = ([-1.0, -4.0], [2.0, 2.0])
@@ -331,19 +403,26 @@ class TestDeepestPointAtTheCentre:
         (FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3), ([-1.0] * 3, [1.0] * 3), 3),
         (ShiftedPoisson(1.5), DiagonalGaussian([0.0] * 3, [1.0] * 3), ([-1.0] * 3, [1.0] * 3), 4),
         (FixedCount(1), UniformBox([0.0] * 3, [1.0, 2.0, 0.5]), ([0.0] * 3, [1.0, 2.0, 0.5]), 4),
+        (FixedCount(1), DiagonalGaussian([0.3], [1.0]), ([1.0], [2.0]), 7),
+        (FixedCount(2), UniformBox([0.0], [1.0]), ([-2.0], [0.25]), 6),
+        (ShiftedPoisson(1.5), PLANAR, ([-3.0, 0.5], [-1.0, 2.0]), 6),
+        (FixedCount(1), UniformBox([0.0, 0.0], [1.0, 1.0]), ([0.7, -1.0], [1.5, 0.2]), 5),
+        (FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3), ([0.5, -1.0, -2.0], [1.5, 1.0, -1.0]), 3),
     ]
     IDS = [
         "gauss-1d-on", "gauss-1d-off-mass-2.5", "box-1d-on", "box-1d-off", "gauss-1d-zero-std",
         "gauss-2d-on-mass-2.5", "gauss-2d-off-mass-2.5", "box-2d-on", "box-2d-off",
         "gauss-2d-zero-std", "gauss-3d-on", "gauss-3d-off-mass-2.5", "box-3d-off",
+        "gauss-1d-clip", "box-1d-clip", "gauss-2d-clip-mass-2.5", "box-2d-clip", "gauss-3d-clip",
     ]
 
     @pytest.mark.parametrize("count,disp,box,grid", CASES, ids=IDS)
     def test_centre_beats_every_grid_node(self, count, disp, box, grid):
-        """x is the centre, d its depth, and no grid node is deeper."""
+        """x is the centre clipped to the box, d its depth, and no grid node
+        is deeper."""
         ref = reference_for(count, disp)
-        x, d = deepest_point(ref, box, grid)
-        assert x.tobytes() == np.asarray(disp.centre(), dtype=float).tobytes()
+        x, d = deepest_point(ref, box)
+        assert x.tobytes() == np.clip(disp.centre(), *box).tobytes()
         assert x.flags.writeable
         assert d == _depth_value(ref, x)
         axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*box)]
@@ -355,30 +434,18 @@ class TestDeepestPointAtTheCentre:
         calls = []
         inner = depth_module._depth_value
         monkeypatch.setattr(depth_module, "_depth_value", lambda *a: calls.append(a) or inner(*a))
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: calls.append("minimize"))
-        x, d = deepest_point(ref, self.PLANAR_BOX, 6)
+        x, d = deepest_point(ref, self.PLANAR_BOX)
         assert len(calls) == 1 and calls[0][0] is ref
         assert x.tolist() == [0.5, -1.0] and d == 1.25
 
-    def test_box_without_the_centre_runs_the_simplex(self, monkeypatch):
+    def test_box_without_the_centre_runs_the_simplex(self):
         """mu = (0.5, -1) lies left of the box [1, 2] x [-4, 2].  Over the box
-        the Mahalanobis distance is least at (1, -1), depth lam Phi(-1/2);
-        x2 = -1 is off the 6-node grid, whose best nodes sit at x2 = -1.6 and
-        -0.4.  The Nelder-Mead refinement stops once its simplex agrees to
-        1e-10 in depth and position; near (1, -1) the depth falls off as
-        about 0.1 (x2 + 1)^2, so x2 lands within about 3e-5 of -1."""
+        the Mahalanobis distance is least at the clip (1, -1), at depth
+        lam Phi(-1/2), above the best nodes of a 6-node grid (x2 = -1.6 and
+        -0.4)."""
         ref = reference_for(ShiftedPoisson(1.5), self.PLANAR)
-        calls = []
-        inner = scipy.optimize.minimize
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counted)
-        x, d = deepest_point(ref, ([1.0, -4.0], [2.0, 2.0]), 6)
-        assert calls == [1]
-        assert x[0] == 1.0 and abs(x[1] + 1.0) < 1e-4
+        x, d = deepest_point(ref, ([1.0, -4.0], [2.0, 2.0]))
+        assert x.tolist() == [1.0, -1.0]
         assert d == pytest.approx(2.5 * float(ndtr(-0.5)), rel=1e-12)
         assert d > _depth_value(ref, np.array([1.0, -1.6]))
 
@@ -505,9 +572,11 @@ class TestGaussianDepthClosedForm:
         assert _smooth_depth_2d(self.REF, x) == pytest.approx(self._closed_form(x), rel=1e-9)
 
     def test_median_on_a_grid_node_is_exact(self):
-        """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing, and the
-        centre rule returns it at lam / 2: no point is deeper."""
-        x, d = deepest_point(self.REF, ((-1.0, -4.0), (2.0, 2.0)), 7)
+        """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing over the
+        box, and the median is that node bit for bit, at lam / 2."""
+        box = ((-1.0, -4.0), (2.0, 2.0))
+        x, d = deepest_point(self.REF, box)
+        assert [np.linspace(lo, hi, 7)[3] for lo, hi in zip(*box)] == self.MU.tolist()
         assert x.tolist() == self.MU.tolist()
         assert d == self.REF.total_mass / 2
 
@@ -516,13 +585,15 @@ class TestGaussianDepthClosedForm:
         (((-2.3, -5.1), (1.7, 2.9)), 8),
     ])
     def test_median_off_the_grid(self, box, grid):
-        """Off the grid the median is mu itself, at depth lam / 2, whatever
-        the grid.  The simplex search is checked on a box without mu
-        (``TestDeepestPointAtTheCentre``)."""
+        """mu is no node of a grid x grid mesh over the box; the median is
+        mu itself, at depth lam / 2, and no node is deeper."""
         lam = self.REF.total_mass
-        x, d = deepest_point(self.REF, box, grid)
+        x, d = deepest_point(self.REF, box)
         assert x.tolist() == self.MU.tolist()
         assert d == lam / 2 == self._closed_form(x)
+        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*box)]
+        for node in itertools.product(*axes):
+            assert node != tuple(self.MU) and d > _depth_value(self.REF, np.array(node))
 
 
 class TestBatchQueries:

@@ -408,7 +408,6 @@ class TestRunners:
             replicates=6,
             eval_points=[[0.25], [0.5], [0.75]],
             epsilon_grid=[0.3],
-            depth_grid=9,
         )
         out = run_experiment(build_config(raw), threads=1)
         assert out.violations == 0
@@ -425,7 +424,6 @@ class TestRunners:
             replicates=4,
             eval_points=[[0.5, 0.5], [0.3, 0.7]],
             epsilon_grid=[0.4],
-            depth_grid=7,
         )
         out = run_experiment(build_config(raw), threads=1)
         assert out.violations == 0
@@ -463,7 +461,7 @@ class TestCli:
 
     CLT_PAIR = {"kind": "finite_list", "functions": [
         {"kind": "constant", "value": 1.0}, {"kind": "half_line", "threshold": 0.5}]}
-    DEPTH_1D = {"eval_points": [[0.25], [0.5]], "epsilon_grid": [0.3], "depth_grid": 5}
+    DEPTH_1D = {"eval_points": [[0.25], [0.5]], "epsilon_grid": [0.3]}
     BRW_GAUSSIAN = {"count": {"kind": "shifted_poisson", "lambda": 1.0},
                     "disp": {"kind": "gaussian", "mean": [0.0], "std": [1.0]}, "j_grid": [2]}
 
@@ -479,7 +477,6 @@ class TestCli:
             ("bound", {"epsilon_grid": [0.1], "alpha": -1}),
             ("depth", {**DEPTH_1D, "depth_box": [[1.0], [0.0]]}),
             ("depth", {**DEPTH_1D, "depth_box": [0.0, 1.0]}),
-            ("depth", {**DEPTH_1D, "depth_grid": 0}),
             ("depth", {**DEPTH_1D, "eval_points": [[0.5, 0.5]]}),
             ("ulln", {"count": [1]}),
             ("ulln", {"n_grid": [10.7]}),
@@ -493,7 +490,7 @@ class TestCli:
         ],
         ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
              "ulln-nan-rate", "bound-beta-nan", "bound-alpha-negative", "depth-box-inverted",
-             "depth-box-not-pair", "depth-grid-zero", "depth-eval-dim", "ulln-count-list",
+             "depth-box-not-pair", "depth-eval-dim", "ulln-count-list",
              "ulln-n-grid-fraction", "ulln-replicates-fraction", "brw-theta-overflow",
              "brw-fluct-theta-overflow", "brw-tree-cap", "brw-expected-tree-size",
              "simulate-expected-tree-size"],
@@ -540,9 +537,6 @@ class TestCli:
             ("ulln", {"count": {"kind": "pmf", "probs": [float("nan"), 1.0]}}),
             ("ulln", {"count": {"kind": "cox", "log_mean": 0.0, "log_sigma": float("nan")}}),
             ("ulln", {"count": {"kind": "cox", "log_mean": 0.0, "log_sigma": 50.0}}),
-            ("depth", {**DEPTH_1D, "depth_grid": 10**12}),
-            ("depth", {**DEPTH_1D, "disp": BOX_2D, "eval_points": [[0.5, 0.5]],
-                       "depth_grid": 1025}),
             ("ulln", {"count": {"kind": "cox", "atoms": [[1e300, 1.0]]}}),
             ("ulln", {"count": {"kind": "shifted_poisson", "lambda": 1e19}}),
             ("ulln", {"count": {"kind": "cox", "log_mean": 50.0, "log_sigma": 0.0}}),
@@ -554,7 +548,7 @@ class TestCli:
              "uniform-high-overflow", "discrete-point-nan", "brw-one-replicate",
              "exponentials-radius-nan", "half-space-point-nan", "constant-inf",
              "half-line-threshold-nan", "pmf-prob-nan", "cox-log-sigma-nan",
-             "cox-mean-overflow", "depth-grid-over-cap", "depth-grid-2d-over-cap",
+             "cox-mean-overflow",
              "cox-rate-over-poisson-limit", "poisson-rate-over-limit",
              "lognormal-mean-over-poisson-limit", "count-over-point-cap",
              "simulate-pattern-over-point-cap"],
@@ -791,6 +785,31 @@ def test_cli_import_leaves_scipy_special_unloaded():
     code = "import sys, ppdepth.harness.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_depth_runs_leave_scipy_optimize_unloaded(tmp_path):
+    """Deepest points take no numerical optimizer: a fresh interpreter that
+    runs the shipped depth config and a planar one has not imported
+    ``scipy.optimize``."""
+    root = Path(__file__).resolve().parents[1]
+    planar = tmp_path / "planar.json"
+    planar.write_text(json.dumps(base_config(
+        kind="depth", disp={"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 3.0]},
+        n_grid=[40], replicates=2, eval_points=[[0.0, 0.0]], epsilon_grid=[0.3],
+    )))
+    code = (
+        "import sys\n"
+        "from ppdepth.harness.cli import main\n"
+        f"for config in {[str(root / 'configs' / 'depth.json'), str(planar)]!r}:\n"
+        f"    assert main(['depth', '--config', config, '--out', {str(tmp_path)!r},"
+        " '--threads', '1']) == 0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stdout.strip() == "False"
