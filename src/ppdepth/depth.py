@@ -17,10 +17,16 @@ box, and a purely atomic measure on the line or in the plane takes the
 deepest of its depth regions inside the box, found by bisecting the depth
 levels, each region cut out by lines through its atoms.
 
-Every mass comes from ``halfspace_mass``, one ``line_mass`` call per block of
-directions.  Half-spaces are closed: against every purely atomic measure
-(``ReferenceMeasure.atoms``: an empirical measure or a discrete law) offsets
-get a slack of 1e-12 times the coordinate scale, so boundary atoms count.
+Half-spaces are closed.  ``depth_1d`` and the sampled bound take their
+masses from ``halfspace_mass``, one ``line_mass`` call per block of
+directions, which against every purely atomic measure
+(``ReferenceMeasure.atoms``: an empirical measure or a discrete law) gives
+each offset a slack of 1e-12 times the coordinate scale, so boundary atoms
+count.  The exact planar sweep (``_tukey_depth_2d``), the brute-force oracle
+and the depth regions of ``_deepest_region`` sum atom masses themselves,
+each with its own tolerance of 1e-12 times its coordinate scale.  The
+analytic planar depth calls ``line_mass`` directly: an atomless measure
+needs no slack.
 """
 
 from __future__ import annotations

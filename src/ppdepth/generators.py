@@ -398,14 +398,22 @@ class DisplacementLaw:
         """P(<X, u> <= s), or P(<X, u> < s) when ``strict``; vectorized in s.
 
         ``u`` may also be a (k, d) block of directions; ``s`` then has a
-        leading axis of length k, and row i of the result equals the call
-        with ``u[i]`` and ``s[i]``.
+        leading axis of length k, and row i of the result is the law's rule
+        along ``u[i]`` at ``s[i]``.  Each law has one rule, ``_block_cdf``;
+        one direction is its one-row block, returned as a float for a
+        scalar ``s``.  The result is always a fresh array or a float.
         """
-        raise NotImplementedError
+        u = np.asarray(u, dtype=float)
+        s = np.asarray(s, dtype=float)
+        if u.ndim == 2:
+            return self._block_cdf(u, s, strict)
+        out = self._block_cdf(u[None], s[None], strict)[0]
+        return out if out.ndim else float(out)
 
-    def _rows_cdf(self, u: np.ndarray, s: np.ndarray, strict: bool) -> np.ndarray:
-        """A (k, d) block of directions, one row at a time."""
-        return np.array([self.projection_cdf(ui, si, strict) for ui, si in zip(u, s)])
+    def _block_cdf(self, u: np.ndarray, s: np.ndarray, strict: bool) -> np.ndarray:
+        """``projection_cdf`` for a (k, d) block ``u`` and ``s`` with a
+        leading axis of length k."""
+        raise NotImplementedError
 
     def mgf(self, theta: float) -> float:
         """E[e^{theta X}] for one-dimensional laws."""
@@ -516,95 +524,65 @@ class UniformBox(DisplacementLaw):
             return gen.uniform(float(self.low[0]), float(self.high[0]), size=(size, 1))
         return gen.uniform(self.low, self.high, size=(size, self.dim))
 
-    def projection_cdf(self, u, s, strict=False):
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if u.ndim == 2:
-            return self._block_cdf(u, s, strict)
-        if self.dim >= 3:
-            # the one-row block: a scalar s would take the libm power where
-            # an array takes numpy's vectorized one, which can differ in the
-            # last bit
-            out = self._block_cdf(u[None], s[None], strict)[0]
-            return out if out.ndim else float(out)
+    def _block_cdf(self, u, s, strict):
+        """The box rule along each row of the block.  Widths below 1e-7 of a
+        row's largest fold into their midpoints: keeping them would divide
+        rounding noise by a near-zero width.  The folded widths are summed
+        in box order and added to the base only when some width folds; the
+        m kept ones are sorted in descending order.  m = 0 is a step at the
+        base, m = 1 a clip, m = 2 a trapezoid (rise, mid, fall) and m >= 3
+        the inclusion-exclusion over subsets of the kept widths.  Rows that
+        fold different numbers of widths go group by group; when every row
+        folds the same number, as one direction always does, ``s`` is
+        neither indexed nor copied."""
         lo = u * self.low
         hi = u * self.high
-        if self.dim == 1 and u[0] != 0.0:
-            a, b = min(lo[0], hi[0]), max(lo[0], hi[0])
-            return np.clip((s - a) / (b - a), 0.0, 1.0)
-        base = float(np.minimum(lo, hi).sum())
-        widths = np.abs(hi - lo)
-        wmax = float(widths.max(initial=0.0))
-        # fold negligible widths into their midpoints: keeping them would
-        # divide rounding noise by a near-zero width
-        tiny = widths <= 1e-7 * wmax
-        base += float(widths[tiny].sum()) / 2.0
-        widths = np.sort(widths[~tiny])[::-1]
-        m = widths.size
-        t = s - base
+        # a plain sum starts at +0.0 and would drop the sign of a lone -0.0
+        # bound, which the clip on the line keeps
+        base = np.minimum(lo, hi).sum(axis=1, initial=-0.0)
+        kept = np.abs(hi - lo)
+        tiny = kept <= 1e-7 * kept.max(axis=1, keepdims=True)
+        if tiny.any():
+            folds = tiny.sum(axis=1)
+            if not (folds == folds[0]).all():
+                out = np.empty(s.shape)
+                for f in np.unique(folds):
+                    rows = folds == f
+                    out[rows] = self._block_cdf(u[rows], s[rows], strict)
+                return out
+            k = u.shape[0]
+            base = base + kept[tiny].reshape(k, -1).sum(axis=1) / 2.0
+            kept = kept[~tiny].reshape(k, -1)
+        col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
+        m = kept.shape[1]
+        t = s - col(base)
         if m == 0:
             return ((t > 0) if strict else (t >= 0)).astype(float)
         if m == 1:
-            return np.clip(t / widths[0], 0.0, 1.0)
-        w1, w2 = float(widths[0]), float(widths[1])
-        rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
-        mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
-        fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
-        cdf = np.where(
-            t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall)
-        )
-        cdf = np.clip(cdf, 0.0, 1.0)
-        return cdf if cdf.ndim else float(cdf)
-
-    def _block_cdf(self, u, s, strict):
-        """``projection_cdf`` for a (k, d) block, vectorized over the rows
-        that keep the same number m of widths.  The rule is the one-direction
-        call's, with its float operations: per row, the folded widths are
-        summed in box order and the kept ones sorted in descending order,
-        and m >= 3 takes the inclusion-exclusion over subsets of the kept
-        widths.  On the line each row is one ``np.clip``, so rows go one at
-        a time through the one-direction call."""
-        if self.dim == 1:
-            return self._rows_cdf(u, s, strict)
-        col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
-        lo = u * self.low
-        hi = u * self.high
-        base = np.minimum(lo, hi).sum(axis=1)
-        widths = np.abs(hi - lo)
-        tiny = widths <= 1e-7 * widths.max(axis=1, keepdims=True)
-        kept_counts = self.dim - tiny.sum(axis=1)
-        out = np.empty(s.shape)
-        for m in map(int, np.unique(kept_counts)):
-            rows = kept_counts == m
-            w, fold = widths[rows], tiny[rows]
-            b = base[rows] + w[fold].reshape(w.shape[0], self.dim - m).sum(axis=1) / 2.0
-            kept = np.sort(w[~fold].reshape(w.shape[0], m), axis=1)[:, ::-1]
-            t = s[rows] - col(b)
-            if m == 0:
-                out[rows] = ((t > 0) if strict else (t >= 0)).astype(float)
-            elif m == 1:
-                out[rows] = np.clip(t / col(kept[:, 0]), 0.0, 1.0)
-            elif m == 2:
-                w1, w2 = col(kept[:, 0]), col(kept[:, 1])
-                rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
-                mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
-                fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
-                cdf = np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall))
-                out[rows] = np.clip(cdf, 0.0, 1.0)
-            else:
-                acc = np.zeros(t.shape)
-                for mask in range(1 << m):
-                    offset = np.zeros(kept.shape[0])
-                    sign = 1.0
-                    for j in range(m):
-                        if mask >> j & 1:
-                            offset += kept[:, j]
-                            sign = -sign
-                    acc = acc + sign * np.maximum(t - col(offset), 0.0) ** m
-                denom = math.factorial(m) * kept.prod(axis=1)
-                cdf = np.clip(acc / col(denom), 0.0, 1.0)
-                out[rows] = np.where(t >= col(kept.sum(axis=1)), 1.0, cdf)
-        return out
+            # in place: t is fresh, and a long row would otherwise allocate
+            # and fault in two more arrays of its size
+            np.divide(t, col(kept[:, 0]), out=t)
+            return np.clip(t, 0.0, 1.0, out=t)
+        kept = np.sort(kept, axis=1)[:, ::-1]
+        if m == 2:
+            w1, w2 = col(kept[:, 0]), col(kept[:, 1])
+            rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
+            mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
+            fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
+            cdf = np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall))
+            return np.clip(cdf, 0.0, 1.0)
+        acc = np.zeros(t.shape)
+        for mask in range(1 << m):
+            offset = np.zeros(kept.shape[0])
+            sign = 1.0
+            for j in range(m):
+                if mask >> j & 1:
+                    offset += kept[:, j]
+                    sign = -sign
+            acc = acc + sign * np.maximum(t - col(offset), 0.0) ** m
+        denom = math.factorial(m) * kept.prod(axis=1)
+        cdf = np.clip(acc / col(denom), 0.0, 1.0)
+        return np.where(t >= col(kept.sum(axis=1)), 1.0, cdf)
 
     def mgf(self, theta):
         if self.dim != 1:
@@ -651,30 +629,17 @@ class DiagonalGaussian(DisplacementLaw):
     def sample(self, gen, size):
         return gen.normal(self.mean, self.std, size=(size, self.dim))
 
-    def projection_cdf(self, u, s, strict=False):
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if u.ndim == 2:
-            return self._block_cdf(u, s, strict)
-        mu = float(u @ self.mean)
-        sd = float(np.sqrt(((u * self.std) ** 2).sum()))
-        if sd == 0.0:
-            return ((s > mu) if strict else (s >= mu)).astype(float)
-        out = _ndtr((s - mu) / sd)
-        return out if out.ndim else float(out)
-
     def _block_cdf(self, u, s, strict):
-        """``projection_cdf`` for a (k, d) block of directions.  ``vecdot``
-        takes one dot product per row, the same as ``u @ mean`` above."""
+        """ndtr((s - <u, mean>) / sd) along each row, with sd the norm of
+        u * std, and a step at <u, mean> where sd = 0.  ``vecdot`` takes one
+        dot product per row."""
         col = lambda v: v.reshape((-1,) + (1,) * (s.ndim - 1))
-        mu = np.vecdot(u, self.mean)
-        sd = np.sqrt(((u * self.std) ** 2).sum(axis=1))
-        out = np.empty(s.shape)
+        mu = col(np.vecdot(u, self.mean))
+        sd = col(np.sqrt(((u * self.std) ** 2).sum(axis=1)))
         step = sd == 0.0
-        s_step, mu_step = s[step], col(mu[step])
-        out[step] = ((s_step > mu_step) if strict else (s_step >= mu_step)).astype(float)
-        smooth = ~step
-        out[smooth] = _ndtr((s[smooth] - col(mu[smooth])) / col(sd[smooth]))
+        out = _ndtr((s - mu) / np.where(step, 1.0, sd))
+        if step.any():
+            out = np.where(step, (s > mu) if strict else (s >= mu), out)
         return out
 
     def mgf(self, theta):
@@ -705,18 +670,17 @@ class DiscretePoints(DisplacementLaw):
         idx = gen.choice(self.points.shape[0], size=size, p=self.weights)
         return self.points[idx]
 
-    def projection_cdf(self, u, s, strict=False):
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if u.ndim == 2:
-            return self._rows_cdf(u, s, strict)
-        # cumulative weights in projected order: the mass below s is one
-        # prefix sum, the same float for any shape of s
-        proj = self.points @ u
-        order = np.argsort(proj, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(self.weights[order])])
-        out = cum[np.searchsorted(proj[order], s, side="left" if strict else "right")]
-        return out if out.ndim else float(out)
+    def _block_cdf(self, u, s, strict):
+        """Row by row: the cumulative weights in projected order, so the
+        mass below s is one prefix sum, the same float for any shape of s."""
+        side = "left" if strict else "right"
+        out = np.empty(s.shape)
+        for i, ui in enumerate(u):
+            proj = self.points @ ui
+            order = np.argsort(proj, kind="stable")
+            cum = np.concatenate([[0.0], np.cumsum(self.weights[order])])
+            out[i] = cum[np.searchsorted(proj[order], s[i], side=side)]
+        return out
 
     def mgf(self, theta):
         if self.dim != 1:

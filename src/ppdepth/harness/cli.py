@@ -10,7 +10,8 @@ running the Monte Carlo experiment.
 
 Exit codes: 0 success, 1 config error, 2 assertion-suite failure (an
 inequality experiment reported violations), 3 I/O error.  PPDEPTH_THREADS
-serves as the fallback for --threads.
+serves as the fallback for --threads; a worker count below 1 from either is
+a config error.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
         if threads is None:
             env = os.environ.get("PPDEPTH_THREADS")
             threads = int(env) if env else config.threads
+        if threads < 1:
+            raise ConfigError(f"the worker count must be >= 1, not {threads}")
         fmt = args.format or config.out_format
     except (ConfigError, ValueError) as exc:
         print(f"ppdepth: {exc}", file=sys.stderr)

@@ -55,10 +55,49 @@ class ConfigError(ValueError):
     pass
 
 
-def _kind_of(spec, what: str):
+# The keys besides "kind" that a spec of each kind reads
+_COUNT_KEYS = {
+    "fixed": ("k",),
+    "shifted_poisson": ("lambda",),
+    "pmf": ("probs",),
+    "cox": ("atoms", "log_mean", "log_sigma"),
+}
+_DISP_KEYS = {
+    "uniform": ("low", "high"),
+    "gaussian": ("mean", "std"),
+    "discrete": ("points", "weights"),
+}
+_FUNCTION_KEYS = {
+    "constant": ("value",),
+    "half_line": ("threshold", "orientation"),
+    "half_space": ("point", "direction"),
+    "exponential": ("theta", "domain"),
+}
+_CLASS_KEYS = {
+    "half_lines": (),
+    "half_spaces": ("dim",),
+    "exponentials": ("a", "b", "radius"),
+    "finite_list": ("functions", "vc_dim"),
+}
+
+
+def _refuse_unknown(raw: dict, known, where: str) -> None:
+    """Refuse a key that nothing reads: a misspelt one would silently leave
+    its field at the default."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _kind_of(spec, what: str, keys: dict):
+    """The spec's kind, after refusing a key that a spec of that kind does
+    not read; an unknown kind is left to the caller."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be a JSON object, not {spec!r}")
-    return spec.get("kind")
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in keys:
+        _refuse_unknown(spec, ("kind", *keys[kind]), f"the {kind} {what} spec")
+    return kind
 
 
 def _int(value) -> int:
@@ -82,7 +121,7 @@ def _points(values) -> tuple[tuple[float, ...], ...]:
 
 
 def parse_count(spec: dict) -> CountLaw:
-    kind = _kind_of(spec, "count law")
+    kind = _kind_of(spec, "count law", _COUNT_KEYS)
     try:
         if kind == "fixed":
             return FixedCount(_int(spec["k"]))
@@ -102,7 +141,7 @@ def parse_count(spec: dict) -> CountLaw:
 
 
 def parse_disp(spec: dict) -> DisplacementLaw:
-    kind = _kind_of(spec, "displacement law")
+    kind = _kind_of(spec, "displacement law", _DISP_KEYS)
     try:
         if kind == "uniform":
             return UniformBox(spec["low"], spec["high"])
@@ -116,7 +155,7 @@ def parse_disp(spec: dict) -> DisplacementLaw:
 
 
 def parse_function(spec: dict) -> EvalFunction:
-    kind = _kind_of(spec, "function")
+    kind = _kind_of(spec, "function", _FUNCTION_KEYS)
     try:
         if kind == "constant":
             return Constant(float(spec["value"]))
@@ -136,7 +175,7 @@ def parse_function(spec: dict) -> EvalFunction:
 
 
 def parse_class(spec: dict) -> FunctionClass:
-    kind = _kind_of(spec, "class")
+    kind = _kind_of(spec, "class", _CLASS_KEYS)
     try:
         if kind == "half_lines":
             return half_lines()
@@ -350,10 +389,15 @@ _FIELDS = {
     "format": ("out_format", str, "csv"),
 }
 
+# The top-level keys a config may carry.  ``depth_grid`` is retired (deepest
+# points are exact) and accepted without effect, so older study configs run.
+_TOP_KEYS = frozenset({"kind", "count", "disp", "function_class", "depth_grid", *_FIELDS})
+
 
 def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _refuse_unknown(raw, _TOP_KEYS, "the config")
     effective_kind = kind or raw.get("kind")
     if effective_kind is None:
         raise ConfigError("config does not name an experiment kind")

@@ -126,7 +126,8 @@ class ReferenceMeasure:
         """Mass of {y : <y, u> <= s} (or < s when strict); vectorized in s.
         Every reference also takes a (k, d) block of directions, as
         ``DisplacementLaw.projection_cdf`` does: row i of the result is the
-        call with ``u[i]`` and ``s[i]``."""
+        call with ``u[i]`` and ``s[i]``.  A law-based reference scales the
+        law's one rule, under which one direction is the one-row block."""
         raise NotImplementedError
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -155,7 +156,12 @@ class MixedBinomialReference(ReferenceMeasure):
         return self.total_mass * self.disp.expectation(f)
 
     def line_mass(self, u, s, strict=False):
-        return self.total_mass * self.disp.projection_cdf(u, s, strict=strict)
+        cdf = self.disp.projection_cdf(u, s, strict=strict)
+        if isinstance(cdf, float):
+            return self.total_mass * cdf
+        # the array is fresh, and x * E[L] is E[L] * x exactly
+        cdf *= self.total_mass
+        return cdf
 
     def atoms(self):
         """Each atom of a discrete displacement law at mass E[L] * weight."""

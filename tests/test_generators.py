@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from ppdepth import (
     Constant,
@@ -380,7 +381,8 @@ class TestDisplacementLaws:
 
 class TestBlockProjectionCdf:
     """A (k, d) block of directions gives, row for row, the floats of the
-    one-direction call: the same value, including the sign of zero."""
+    one-direction call, and both give those of each law's rule written out
+    along one direction: the same value, including the sign of zero."""
 
     LAWS = (
         UniformBox([0.0], [1.0]),
@@ -407,6 +409,62 @@ class TestBlockProjectionCdf:
         u[2] = 0.0
         return u
 
+    @classmethod
+    def _written_out(cls, law, u, s, strict):
+        """``law``'s rule along one direction, written out, or None for a
+        discrete law.  Box: on the line the clip (s - a) / (b - a) between
+        the projected ends a < b; otherwise the widths below 1e-7 of the
+        largest fold into their midpoints, and with m kept widths a step at
+        the base (m = 0), a clip (m = 1), the rise/mid/fall trapezoid
+        (m = 2) or ``_inclusion_exclusion`` (m >= 3).  Gaussian: ndtr((s -
+        <u, mean>) / sd), with a step at <u, mean> where sd = 0."""
+        if isinstance(law, DiagonalGaussian):
+            mu = float(u @ law.mean)
+            sd = float(np.sqrt(((u * law.std) ** 2).sum()))
+            if sd == 0.0:
+                return ((s > mu) if strict else (s >= mu)).astype(float)
+            return ndtr((s - mu) / sd)
+        if not isinstance(law, UniformBox):
+            return None
+        lo, hi = u * law.low, u * law.high
+        if law.dim == 1 and u[0] != 0.0:
+            a, b = min(lo[0], hi[0]), max(lo[0], hi[0])
+            return np.clip((s - a) / (b - a), 0.0, 1.0)
+        widths = np.abs(hi - lo)
+        tiny = widths <= 1e-7 * float(widths.max())
+        if (~tiny).sum() >= 3:
+            return cls._inclusion_exclusion(law, u, s)
+        base = float(np.minimum(lo, hi).sum()) + float(widths[tiny].sum()) / 2.0
+        w = np.sort(widths[~tiny])[::-1]
+        t = s - base
+        if w.size == 0:
+            return ((t > 0) if strict else (t >= 0)).astype(float)
+        if w.size == 1:
+            return np.clip(t / w[0], 0.0, 1.0)
+        w1, w2 = float(w[0]), float(w[1])
+        rise = np.square(np.clip(t, 0.0, w2)) / (2.0 * w1 * w2)
+        mid = np.clip((t - 0.5 * w2) / w1, 0.0, None)
+        fall = np.square(np.clip(w1 + w2 - t, 0.0, w2)) / (2.0 * w1 * w2)
+        return np.clip(np.where(t <= w2, rise, np.where(t <= w1, mid, 1.0 - fall)), 0.0, 1.0)
+
+    @classmethod
+    def _assert_rows(cls, law, u, s, strict):
+        """Each row of the block call equals the one-direction call and the
+        written-out rule, byte for byte; so does each scalar s."""
+        block = law.projection_cdf(u, s, strict)
+        assert block.shape == s.shape
+        for i in range(u.shape[0]):
+            row = np.asarray(law.projection_cdf(u[i], s[i], strict))
+            assert block[i].tobytes() == row.tobytes()
+            scalar = law.projection_cdf(u[i], s[i].flat[0], strict)
+            assert isinstance(scalar, float)
+            assert np.float64(scalar).tobytes() == row.flat[0].tobytes()
+            # as an array: a 0-d s would take libm's scalar power in the
+            # inclusion-exclusion, which can differ in the last bit
+            rule = cls._written_out(law, u[i], np.atleast_1d(s[i]), strict)
+            if rule is not None:
+                assert np.asarray(rule).tobytes() == row.tobytes()
+
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: f"{type(law).__name__}-{law.dim}d")
     def test_rows_equal_single_direction_calls(self, law):
         rng = np.random.default_rng(law.dim)
@@ -419,11 +477,7 @@ class TestBlockProjectionCdf:
                 if len(shape) == 2:
                     s[:, 1] = s[:, 0]  # ties within a row
                 for strict in (False, True):
-                    block = law.projection_cdf(u, s, strict)
-                    assert block.shape == shape
-                    for i in range(k):
-                        row = np.asarray(law.projection_cdf(u[i], s[i], strict))
-                        assert block[i].tobytes() == row.tobytes()
+                    self._assert_rows(law, u, s, strict)
 
     @staticmethod
     def _inclusion_exclusion(law, u, s):
@@ -457,20 +511,19 @@ class TestBlockProjectionCdf:
         u = rng.normal(size=(50, law.dim))
         u /= np.linalg.norm(u, axis=1)[:, None]
         s = rng.normal(scale=2.0, size=(50, 9))
-        block = law.projection_cdf(u, s)
-        for i in range(50):
-            assert block[i].tobytes() == self._inclusion_exclusion(law, u[i], s[i]).tobytes()
+        self._assert_rows(law, u, s, False)
 
     @pytest.mark.parametrize("low,high", [(-0.0, 1.0), (-1.0, 0.0)])
     def test_signed_zero_bounds_on_the_line(self, low, high):
         """A zero box bound of either sign projects to an end of the support
-        that the one-direction call subtracts as it is."""
+        that the clip subtracts as it is, also in a block whose u = 0 rows
+        fold their one width and so go as a group of their own."""
         law = UniformBox([low], [high])
-        u = np.array([[1.0], [-1.0]])
-        s = np.array([[-0.0, 0.0, 0.5], [-0.0, 0.0, -0.5]])
-        block = law.projection_cdf(u, s)
-        for i in range(2):
-            assert block[i].tobytes() == np.asarray(law.projection_cdf(u[i], s[i])).tobytes()
+        u = np.array([[1.0], [-1.0], [0.0], [-0.0]])
+        s = np.array([[-0.0, 0.0, 0.5], [-0.0, 0.0, -0.5], [-0.0, 0.0, 0.5], [-0.0, 0.0, -0.5]])
+        for strict in (False, True):
+            self._assert_rows(law, u, s, strict)
+            self._assert_rows(law, u[:2], s[:2], strict)
 
 
 class TestUniformDraws:

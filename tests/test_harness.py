@@ -69,6 +69,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config(base_config(kind="bogus"))
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"replicate": 5}, "replicate"),
+        ({"function_class": {"kind": "exponentials", "raduis": 1.0}}, "raduis"),
+        ({"count": {"kind": "cox", "atoms": [[1.0, 1.0]], "weight": 1.0}}, "weight"),
+    ], ids=["top-level", "class", "count"])
+    def test_unknown_key_named(self, overrides, key):
+        """A key that nothing reads is refused by name, not run at the
+        default of the field it misspells."""
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            build_config(base_config(**overrides))
+
     def test_subcommand_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not match"):
             build_config(base_config(), kind="clt")
@@ -509,8 +520,8 @@ class TestCli:
     BOX_2D = {"kind": "uniform", "low": [0.0, 0.0], "high": [1.0, 1.0]}
 
     @pytest.mark.parametrize(
-        "kind,overrides",
-        [
+        "kind,overrides,flags,env",
+        [(kind, overrides, (), None) for kind, overrides in [
             ("ulln", {"disp": BOX_2D}),
             ("bound", {"disp": BOX_2D, "function_class": {"kind": "half_spaces", "dim": 1},
                        "epsilon_grid": [0.1]}),
@@ -542,6 +553,18 @@ class TestCli:
             ("ulln", {"count": {"kind": "cox", "log_mean": 50.0, "log_sigma": 0.0}}),
             ("ulln", {"count": {"kind": "fixed", "k": 10**12}}),
             ("simulate", {"target": "sample", "count": {"kind": "fixed", "k": 10**8}}),
+            ("ulln", {"replicate": 5}),
+            ("ulln", {"function_class": {"kind": "exponentials", "a": 0.0, "b": 1.0,
+                                         "raduis": 1.0}}),
+            ("ulln", {"disp": {"kind": "uniform", "low": [0.0], "hihg": [1.0], "high": [1.0]}}),
+            ("ulln", {"count": {"kind": "shifted_poisson", "lambda": 1.0, "lamda": 2.0}}),
+            ("clt", {"replicates": 100, "function_class": {"kind": "finite_list", "functions": [
+                {"kind": "constant", "value": 1.0},
+                {"kind": "half_line", "threshold": 0.5, "orientaton": -1}]}}),
+        ]] + [
+            ("ulln", {}, ("--threads", "0"), None),
+            ("ulln", {}, ("--threads", "-3"), None),
+            ("ulln", {}, (), "-2"),
         ],
         ids=["half-lines-on-plane", "half-spaces-1-on-plane", "half-spaces-2-on-line",
              "exponentials-on-plane", "clt-half-line-on-plane", "gaussian-std-inf",
@@ -551,20 +574,28 @@ class TestCli:
              "cox-mean-overflow",
              "cox-rate-over-poisson-limit", "poisson-rate-over-limit",
              "lognormal-mean-over-poisson-limit", "count-over-point-cap",
-             "simulate-pattern-over-point-cap"],
+             "simulate-pattern-over-point-cap", "misspelt-top-level-key",
+             "misspelt-class-key", "misspelt-law-key", "misspelt-count-key",
+             "misspelt-function-key", "threads-zero", "threads-negative",
+             "threads-env-negative"],
     )
-    def test_refused_before_any_output(self, tmp_path, capsys, kind, overrides):
+    def test_refused_before_any_output(
+        self, tmp_path, capsys, monkeypatch, kind, overrides, flags, env
+    ):
         """A class or function of another dimension than the law, a
         non-finite law, count, function or class parameter, a count law
         without a finite mean or drawing at a Poisson rate above numpy's
-        limit, a depth grid of more points than the cap, n E[L] above the
-        point cap, and a brw study without a second replicate for its
-        variance are refused while the config is built: exit 1, one line,
-        no traceback and no output directory.  Before, each ended in a
-        traceback, or wrote NaN under exit 0."""
+        limit, n E[L] above the point cap, a brw study without a second
+        replicate for its variance, a key that nothing reads (top-level or
+        in a spec) and a worker count below 1 (--threads or PPDEPTH_THREADS)
+        are refused before any output: exit 1, one line, no traceback and
+        no output directory.  Before, each ended in a traceback, wrote NaN
+        under exit 0, or ran with the default the misspelt key left."""
+        if env is not None:
+            monkeypatch.setenv("PPDEPTH_THREADS", env)
         cfg = self._write(tmp_path, base_config(kind=kind, **overrides))
         out_dir = tmp_path / "out"
-        assert cli_main([kind, "--config", cfg, "--out", str(out_dir)]) == 1
+        assert cli_main([kind, "--config", cfg, "--out", str(out_dir), *flags]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("ppdepth: ")
