@@ -526,8 +526,12 @@ def batch_depth_queries(payload: dict) -> list[dict]:
     set becomes an empirical measure with one pattern per point (each point
     carries weight 1/m).  Returns one row per query with keys x1..xd, depth,
     dir1..dird, exact, tie_count.  Anything but finite (count, d) points and
-    queries of one d and a method that fits d raises ValueError.
+    queries of one d and a method that fits d, or a key besides these three,
+    raises ValueError.
     """
+    unknown = sorted(set(payload) - {"points", "queries", "method"}, key=str)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}: a batch has points, queries and method")
     pts = _coordinates(payload["points"], "points")
     queries = _coordinates(payload["queries"], "queries", pts.shape[1])
     depth_of = _query_method(payload.get("method", "exact2d"), pts.shape[1])

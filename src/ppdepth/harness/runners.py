@@ -230,14 +230,32 @@ def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 
 def _clt_block(shared, lo: int, hi: int) -> np.ndarray:
+    """sqrt(n) (mu_n f - mu f) of replicates lo..hi-1 for each f, bit for bit
+    the per-replicate ``root_n * (f.evaluate(pts).sum() / n - mu f)``.  The
+    block's draws are joined (at most ``_SWEEP_POINTS`` points per join, or
+    one larger draw), each f is evaluated once per join, and each replicate's
+    slice is summed alone: the same pairwise sum over the same values."""
     count, disp, fs, mus, n, seed = shared
-    out = np.empty((hi - lo, len(fs)))
-    root_n = math.sqrt(n)
-    for i, gen in enumerate(RngStream(seed).child_generators("clt", n, lo=lo, hi=hi)):
+    sums = np.empty((hi - lo, len(fs)))
+    run, used, first = [], 0, 0
+    for r, gen in enumerate(RngStream(seed).child_generators("clt", n, lo=lo, hi=hi)):
         pts, _ = draw_flat(n, count, disp, gen)
-        for k, f in enumerate(fs):
-            out[i, k] = root_n * (f.evaluate(pts).sum() / n - mus[k])
-    return out
+        if run and used + pts.shape[0] > _SWEEP_POINTS:
+            _slice_sums(run, fs, sums[first:r])
+            run, used, first = [], 0, r
+        run.append(pts)
+        used += pts.shape[0]
+    _slice_sums(run, fs, sums[first:])
+    return math.sqrt(n) * (sums / n - np.asarray(mus))
+
+
+def _slice_sums(draws: list, fs, out: np.ndarray) -> None:
+    """``out[i, k] = fs[k].evaluate(draws[i]).sum()``, one evaluate per f."""
+    pts = np.concatenate(draws)
+    ends = np.cumsum([p.shape[0] for p in draws]).tolist()
+    for k, f in enumerate(fs):
+        values = f.evaluate(pts)
+        out[:, k] = [values[a:b].sum() for a, b in zip([0] + ends, ends)]
 
 
 def _single_pattern_matrix(
@@ -272,13 +290,16 @@ def _cov_with_se(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_ks_distance(values: np.ndarray) -> float:
-    from scipy.special import ndtr
-
+    """KS distance of ``values`` over their sample sd (ddof 1) from the
+    standard normal, 0 for constant values (whose sd may round to a tiny
+    nonzero number).  Phi(z) is libm's ``0.5 * erfc(-z / sqrt(2))`` per
+    value, within 2.2e-16 of ``scipy.special.ndtr`` and without importing
+    ``scipy.special``."""
     sd = values.std(ddof=1)
-    if sd == 0:
+    if sd == 0 or values.min() == values.max():
         return 0.0
     z = np.sort(values / sd)
-    cdf = ndtr(z)
+    cdf = 0.5 * np.array([math.erfc(v) for v in (-z / math.sqrt(2.0)).tolist()])
     n = z.size
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
@@ -518,20 +539,23 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 def _diag_block(shared, lo: int, hi: int):
     """Deviations and Rademacher-signed sups of replicates lo..hi-1, each
-    bit for bit ``halfline_sup_weighted``'s value.  The block is drawn first
-    and then reduced in one ``halfline_sup_rows`` call per kind: weight 1/n
-    against the reference, the signs s_i / n against zero."""
+    bit for bit ``halfline_sup_weighted``'s value.  The block is drawn first,
+    each replicate's points and then its n sign picks, and then reduced in
+    one ``halfline_sup_rows`` call per kind: weight 1/n against the
+    reference, the signs s_i / n (one ``np.repeat`` over the block's
+    patterns) against zero."""
     count, disp, ref, n, seed = shared
-    points, sizes, signed = [], [], []
+    points, sizes, counts, picks = [], [], [], []
     for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
-        pts, counts = draw_flat(n, count, disp, gen)
-        signs = np.array([-1.0, 1.0])[gen.integers(0, 2, size=n)]
+        pts, pattern_counts = draw_flat(n, count, disp, gen)
         points.append(pts[:, 0])
         sizes.append(pts.shape[0])
-        signed.append(np.repeat(signs / n, counts))
+        counts.append(pattern_counts)
+        picks.append(gen.integers(0, 2, size=n))
     xs = np.concatenate(points)
+    signed = np.repeat((np.array([-1.0, 1.0]) / n)[np.concatenate(picks)], np.concatenate(counts))
     devs = halfline_sup_rows(xs, sizes, 1.0 / n, ref)
-    syms = halfline_sup_rows(xs, sizes, np.concatenate(signed), None)
+    syms = halfline_sup_rows(xs, sizes, signed, None)
     return devs, syms
 
 

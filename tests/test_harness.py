@@ -37,7 +37,14 @@ from ppdepth import measure
 from ppdepth.harness import cli, runners
 from ppdepth.harness.cli import main as cli_main
 from ppdepth.harness.config import POINT_CAP
-from ppdepth.harness.runners import _deviation_block, _diag_block, _over_replicates
+from ppdepth.functions import Constant, Exponential, HalfLineIndicator
+from ppdepth.harness.runners import (
+    _clt_block,
+    _deviation_block,
+    _diag_block,
+    _normal_ks_distance,
+    _over_replicates,
+)
 from ppdepth.measure import halfline_sup_weighted
 
 
@@ -352,6 +359,63 @@ class TestRunners:
         got_devs, got_syms = _over_replicates(_diag_block, shared, config, threads)
         assert got_devs.tobytes() == np.array(devs).tobytes()
         assert got_syms.tobytes() == np.array(syms).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 40], ids=["one-join", "several-joins"])
+    @pytest.mark.parametrize(
+        "count", [FixedCount(2), ShiftedPoisson(1.0), Pmf((0.5, 0.3, 0.2))],
+        ids=["fixed", "shifted-poisson", "pmf"],
+    )
+    def test_clt_block_matches_per_replicate_sums(self, monkeypatch, count, cap, threads):
+        """The clt block gives, bit for bit, ``evaluate(...).sum()`` per
+        replicate and function, over several replicate blocks and worker
+        processes, for uniform, Gaussian and discrete draws.  The exponential
+        values are not dyadic, so a sum in another order would differ; a
+        40-point cap splits each block into several joins."""
+        if cap is not None:
+            monkeypatch.setattr(runners, "_SWEEP_POINTS", cap)
+        n, seed = 12, 7
+        config = build_config(base_config(replicates=30))
+        fs = (HalfLineIndicator(0.4), HalfLineIndicator(0.6, -1), Constant(1.5),
+              Exponential(0.7, (-3.0, 3.0)), Exponential(-1.3, (-3.0, 3.0)))
+        mus = (0.4, 0.4, 1.5, 1.1, 0.6)
+        for disp in (UniformBox([0.0], [1.0]), DiagonalGaussian([0.3], [0.2]),
+                     DiscretePoints([[0.1], [0.3], [0.9]], [0.5, 0.25, 0.25])):
+            want = np.empty((config.replicates, len(fs)))
+            for r in range(config.replicates):
+                gen = RngStream(seed).child("clt", n, r).generator()
+                pts, _ = draw_flat(n, count, disp, gen)
+                for k, f in enumerate(fs):
+                    want[r, k] = math.sqrt(n) * (f.evaluate(pts).sum() / n - mus[k])
+            shared = (count, disp, fs, mus, n, seed)
+            got = _over_replicates(_clt_block, shared, config, threads)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _ks_with_ndtr(values):
+        from scipy.special import ndtr
+
+        sd = values.std(ddof=1)
+        z = np.sort(values / sd)
+        cdf = ndtr(z)
+        n = z.size
+        return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+    def test_normal_ks_distance_against_scipy_ndtr(self):
+        """The libm normal CDF gives the KS distance of ``scipy.special.ndtr``
+        to 1e-15 on normal, heavy-tailed and tied inputs, and exactly 0 on
+        constant ones, also where their sd rounds to a tiny nonzero number."""
+        gen = np.random.default_rng(11)
+        inputs = [
+            gen.normal(size=2000), gen.normal(3.0, 0.01, size=7), gen.standard_t(2, size=2000),
+            gen.standard_cauchy(size=500), gen.integers(-2, 3, size=400).astype(float),
+            np.repeat(gen.normal(size=5), 40),
+        ]
+        for values in inputs:
+            values = values - values.mean()
+            assert abs(_normal_ks_distance(values) - self._ks_with_ndtr(values)) <= 1e-15
+        for c, m in ((0.0, 10), (3.0, 50), (0.3, 50), (-7.7, 400)):
+            assert _normal_ks_distance(np.full(m, c)) == 0.0
 
     @pytest.mark.parametrize("cap", [None, 40], ids=["buffer", "overflowing-buffer"])
     @pytest.mark.parametrize(
@@ -777,15 +841,16 @@ class TestCli:
             {"points": DIAMOND, "queries": [], "method": "exact2d"},
             {"points": [[float("nan"), 0]], "queries": [[0, 0]], "method": "exact2d"},
             {"points": DIAMOND, "queries": [[0, 0]], "method": "approx:1000000000000"},
+            {"points": [[0, 0], [1, 0], [0, 1]], "queries": [[0.2, 0.2]], "methd": "approx:4"},
         ],
         ids=["nan-query", "inf-query", "null-query", "method-number", "approx-zero",
              "method-unknown", "query-dim", "exact1d-dim", "query-string", "query-ragged",
-             "no-queries", "nan-point", "approx-huge"],
+             "no-queries", "nan-point", "approx-huge", "misspelt-method-key"],
     )
     def test_bad_depth_batch_exits_one_with_one_line(self, tmp_path, capsys, payload):
         """A depth query batch that is not finite numeric (count, d) points
-        and queries of one d, with a known method, ends in exit 1 and a
-        one-line message, and writes no file."""
+        and queries of one d, with a known method and no other key, ends in
+        exit 1 and a one-line message, and writes no file."""
         cfg = self._write(tmp_path, payload)
         out_dir = tmp_path / "out"
         assert cli_main(["depth", "--config", cfg, "--out", str(out_dir)]) == 1
@@ -810,8 +875,8 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    """Importing the CLI loads no ``scipy.special``: the Gaussian, Cox and
-    clt code paths import it on first use."""
+    """Importing the CLI loads no ``scipy.special``: the Gaussian projection
+    CDF, the Cox pmf and the sphere directions import it on first use."""
     src = os.path.dirname(os.path.dirname(ppdepth.__file__))
     code = "import sys, ppdepth.harness.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
@@ -838,6 +903,28 @@ def test_depth_runs_leave_scipy_optimize_unloaded(tmp_path):
         f"    assert main(['depth', '--config', config, '--out', {str(tmp_path)!r},"
         " '--threads', '1']) == 0\n"
         "print('scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_shipped_configs_leave_scipy_special_unloaded(tmp_path):
+    """No shipped config needs ``scipy.special``: a fresh interpreter that
+    runs every ``configs/*.json`` on one worker has not imported it."""
+    root = Path(__file__).resolve().parents[1]
+    runs = [(json.loads(p.read_text())["kind"], str(p))
+            for p in sorted((root / "configs").glob("*.json"))]
+    assert len(runs) == 7
+    code = (
+        "import sys\n"
+        "from ppdepth.harness.cli import main\n"
+        f"for kind, config in {runs!r}:\n"
+        f"    assert main([kind, '--config', config, '--out', {str(tmp_path)!r},"
+        " '--threads', '1']) == 0\n"
+        "print('scipy.special' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
