@@ -8,7 +8,8 @@ past a data point, so it suffices to evaluate the closed mass at every
 critical angle and once inside every open arc between consecutive critical
 angles.  An independent brute-force oracle (point normals with tiny
 two-sided wobbles plus a large pseudo-random direction set) is provided for
-cross-validation, and a sampled-direction upper bound covers d >= 3.
+cross-validation.  A closed form (``ReferenceMeasure.depth``) covers boxes in
+d <= 2 and diagonal Gaussians, and a sampled-direction upper bound the rest.
 
 The deepest point in a box (``deepest_point``) is exact: a reference with a
 closed-form centre of symmetry (``ReferenceMeasure.centre``: a uniform box
@@ -25,13 +26,11 @@ each offset a slack of 1e-12 times the coordinate scale, so boundary atoms
 count.  The exact planar sweep (``_tukey_depth_2d``), the brute-force oracle
 and the depth regions of ``_deepest_region`` sum atom masses themselves,
 each with its own tolerance of 1e-12 times its coordinate scale.  The
-analytic planar depth calls ``line_mass`` directly: an atomless measure
-needs no slack.
+closed forms take no mass at all.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -39,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (
-    EmpiricalReference,
-    ReferenceMeasure,
-    _golden_section,
-    _sphere_directions,
-)
+from .measure import EmpiricalReference, ReferenceMeasure, _sphere_directions
 from .patterns import Sample
 
 __all__ = [
@@ -288,41 +282,14 @@ def depth_approx(measure: ReferenceMeasure, x, k: int) -> DepthResult:
 
 
 def _depth_value(measure: ReferenceMeasure, x: np.ndarray) -> float:
+    """``depth_1d`` on the line, the exact sweep of a planar atomic measure,
+    a closed form (``ReferenceMeasure.depth``), else 2048 sampled directions."""
     if measure.dim == 1:
         return depth_1d(measure, float(x[0])).depth
-    if measure.dim == 2:
-        if measure.atoms() is not None:
-            return depth_2d_exact(measure, x).depth
-        return _smooth_depth_2d(measure, x)
-    return depth_approx(measure, x, 2048).depth
-
-
-@functools.cache
-def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """``grid`` equally spaced angles and their unit directions, built by
-    ``math.cos`` and ``math.sin`` like the refinement's directions."""
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
-    angles.setflags(write=False)
-    dirs.setflags(write=False)
-    return angles, dirs
-
-
-def _smooth_depth_2d(measure: ReferenceMeasure, x: np.ndarray, grid: int = 512) -> float:
-    """Directional minimization of the half-plane mass for analytic planar
-    measures: dense angle grid plus golden-section refinement."""
-    angles, dirs = _angle_grid(grid)
-
-    def mass(phi: float) -> float:
-        u = np.array([math.cos(phi), math.sin(phi)])
-        return float(measure.line_mass(u, float(x @ u)))
-
-    # one call for the grid; vecdot takes the same per-row dot as x @ u
-    values = np.asarray(measure.line_mass(dirs, np.vecdot(dirs, x)), dtype=float)
-    i = int(np.argmin(values))
-    step = 2.0 * math.pi / grid
-    lo, hi, _, _ = _golden_section(mass, angles[i] - step, angles[i] + step, 1e-12)
-    return min(float(values[i]), mass(0.5 * (lo + hi)))
+    if measure.dim == 2 and measure.atoms() is not None:
+        return depth_2d_exact(measure, x).depth
+    value = measure.depth(x)
+    return depth_approx(measure, x, 2048).depth if value is None else value
 
 
 def _cut_box(corners: np.ndarray, u: np.ndarray, a: np.ndarray, tol: float):
@@ -452,8 +419,8 @@ def depth_sup_deviation(sample: Sample, ref: ReferenceMeasure, eval_points) -> f
 
     In one dimension the evaluation set is augmented with all data points and
     the midpoints between consecutive distinct data points (plus reference
-    atoms), which realizes the supremum over the whole line up to the
-    modulus of continuity of the reference on the grid gaps.
+    atoms); the value is the maximum over that set, a lower bound on the
+    supremum over the line.
     """
     if ref.dim != sample.dim:
         raise ValueError("sample and reference dimensions differ")

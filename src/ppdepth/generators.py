@@ -428,6 +428,10 @@ class DisplacementLaw:
         c - X have one law), when it is known in closed form, else None."""
         return None
 
+    def depth(self, x) -> float | None:
+        """The half-space depth of x under the law in closed form, or None."""
+        return None
+
     def expectation(self, f: EvalFunction) -> float:
         """E[f(X)] for the supported test-function variants."""
         if isinstance(f, Constant):
@@ -501,13 +505,14 @@ class UniformBox(DisplacementLaw):
     low: np.ndarray
     high: np.ndarray
 
+    @np.errstate(over="ignore")  # a width past the float range reads inf
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.low, dtype=float))
         hi = np.atleast_1d(np.asarray(self.high, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("low and high must be vectors of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
-            raise ValueError("box needs finite low < high coordinatewise")
+        if not (np.isfinite(hi - lo).all() and (lo < hi).all()):  # inf or NaN bounds too
+            raise ValueError("box needs finite low < high and a finite width high - low")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "low", lo)
@@ -516,6 +521,14 @@ class UniformBox(DisplacementLaw):
 
     def centre(self):
         return (self.low + self.high) / 2
+
+    def depth(self, x):
+        """2^(d-1) prod_i max(0, min(t_i, 1 - t_i)), t = (x - low) / (high -
+        low), for d <= 2 (Rousseeuw & Ruts 1999, Metrika 49); else None."""
+        if self.dim > 2:
+            return None
+        t = (np.asarray(x, dtype=float) - self.low) / (self.high - self.low)
+        return 2.0 ** (self.dim - 1) * float(np.clip(np.minimum(t, 1.0 - t), 0.0, None).prod())
 
     def sample(self, gen, size):
         if self.dim == 1:
@@ -609,13 +622,14 @@ class DiagonalGaussian(DisplacementLaw):
     mean: np.ndarray
     std: np.ndarray
 
+    @np.errstate(over="ignore")  # a square sum past the float range reads inf
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
         s = np.atleast_1d(np.asarray(self.std, dtype=float))
         if m.shape != s.shape or m.ndim != 1:
             raise ValueError("mean and std must be vectors of equal length")
-        if not (np.isfinite(m).all() and np.isfinite(s).all()) or (s < 0).any():
-            raise ValueError("mean must be finite and std finite and nonnegative")
+        if not (np.isfinite(m).all() and np.isfinite(np.square(s).sum())) or (s < 0).any():
+            raise ValueError("mean must be finite, std nonnegative and its squares' sum finite")
         m.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "mean", m)
@@ -625,6 +639,16 @@ class DiagonalGaussian(DisplacementLaw):
     def centre(self):
         """The mean, also along coordinates of zero std."""
         return self.mean
+
+    def depth(self, x):
+        """Phi(-|(x - mean) / std|) over the coordinates of nonzero std (Zuo
+        & Serfling 2000): 0 when x leaves the mean along a zero-std
+        coordinate, and 1 when every std is zero and x is the mean."""
+        z = np.asarray(x, dtype=float) - self.mean
+        flat = self.std == 0.0
+        if flat.all() or z[flat].any():
+            return float(not z.any())
+        return float(_ndtr(-np.linalg.norm(z[~flat] / self.std[~flat])))
 
     def sample(self, gen, size):
         return gen.normal(self.mean, self.std, size=(size, self.dim))

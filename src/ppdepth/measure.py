@@ -139,6 +139,10 @@ class ReferenceMeasure:
         closed form (``DisplacementLaw.centre``), else None."""
         return None
 
+    def depth(self, x) -> float | None:
+        """The closed-form half-space depth of x (``DisplacementLaw.depth``), or None."""
+        return None
+
 
 @dataclass(frozen=True)
 class MixedBinomialReference(ReferenceMeasure):
@@ -171,6 +175,11 @@ class MixedBinomialReference(ReferenceMeasure):
     def centre(self):
         """E[L] P_X is symmetric about the centre of P_X."""
         return self.disp.centre()
+
+    def depth(self, x):
+        """E[L] times the depth of x under P_X."""
+        value = self.disp.depth(x)
+        return None if value is None else self.total_mass * value
 
     def pattern_covariance(self, f: EvalFunction, g: EvalFunction) -> float:
         """Cov[Y(f), Y(g)] for one pattern: E[L] Cov[f, g] + Var[L] E[f] E[g]."""

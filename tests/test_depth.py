@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from ppdepth import (
     sup_deviation,
 )
 from ppdepth import depth as depth_module
-from ppdepth.depth import _depth_value, _smooth_depth_2d
+from ppdepth.depth import _depth_value
 from ppdepth.harness.cli import main as cli_main
+from ppdepth.measure import _sphere_directions
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -438,7 +440,7 @@ class TestDeepestPointAtTheCentre:
         assert len(calls) == 1 and calls[0][0] is ref
         assert x.tolist() == [0.5, -1.0] and d == 1.25
 
-    def test_box_without_the_centre_runs_the_simplex(self):
+    def test_box_without_the_centre_takes_the_clip(self):
         """mu = (0.5, -1) lies left of the box [1, 2] x [-4, 2].  Over the box
         the Mahalanobis distance is least at the clip (1, -1), at depth
         lam Phi(-1/2), above the best nodes of a 6-node grid (x2 = -1.6 and
@@ -569,7 +571,7 @@ class TestGaussianDepthClosedForm:
         """Mahalanobis offsets z from the centre out to the far tails
         (|z| = 23.3 gives a depth near 3e-120)."""
         x = self.MU + self.SIGMA * np.array(z)
-        assert _smooth_depth_2d(self.REF, x) == pytest.approx(self._closed_form(x), rel=1e-9)
+        assert _depth_value(self.REF, x) == pytest.approx(self._closed_form(x), rel=1e-12)
 
     def test_median_on_a_grid_node_is_exact(self):
         """mu is the node (3, 3) of a 7 x 7 grid with dyadic spacing over the
@@ -594,6 +596,162 @@ class TestGaussianDepthClosedForm:
         axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*box)]
         for node in itertools.product(*axes):
             assert node != tuple(self.MU) and d > _depth_value(self.REF, np.array(node))
+
+
+def _golden_bracket(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a minimum of f on [lo, hi]: the bracket,
+    once it is at most tol wide."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return lo, hi
+
+
+def _grid_golden_depth(measure, x: np.ndarray) -> float:
+    """The planar search the closed forms replaced, on the public
+    ``line_mass``: the least half-plane mass through x over 512 equally
+    spaced angles, refined by golden-section search over the grid steps on
+    either side of the best angle."""
+    grid = 512
+    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
+
+    def mass(phi: float) -> float:
+        u = np.array([math.cos(phi), math.sin(phi)])
+        return float(measure.line_mass(u, float(x @ u)))
+
+    values = measure.line_mass(dirs, np.vecdot(dirs, x))
+    i = int(np.argmin(values))
+    step = 2.0 * math.pi / grid
+    lo, hi = _golden_bracket(mass, angles[i] - step, angles[i] + step, 1e-12)
+    return min(float(values[i]), mass(0.5 * (lo + hi)))
+
+
+class TestClosedFormDepth:
+    """E[L] U(box) in the plane has depth E[L] 2 prod_i max(0, min(t_i, 1 -
+    t_i)), t = (x - low) / (high - low) (Rousseeuw & Ruts 1999), and E[L]
+    N(mu, diag sigma^2) has depth E[L] Phi(-|(x - mu) / sigma|) over the
+    coordinates of nonzero sigma.  ``_depth_value`` takes these closed
+    forms and no mass; the grid-and-golden search they replaced is the
+    oracle."""
+
+    COUNTS = [FixedCount(1), ShiftedPoisson(1.5), FixedCount(3)]
+
+    def test_planar_box_matches_the_search(self):
+        """Boxes within a few widths of the origin, with points inside, on
+        the edges, at the corners and outside on one or both axes (where an
+        unclipped product of two negative factors would read positive)."""
+        rng = np.random.default_rng(37)
+        edges = [(0.0, 0.3), (0.6, 1.0), (0.0, 0.0), (1.0, 0.0), (-0.5, 1.5), (1.7, -0.2)]
+        for case in range(40):
+            lo = rng.uniform(-3.0, 3.0, size=2)
+            hi = lo + rng.uniform(0.2, 3.0, size=2)
+            ref = reference_for(self.COUNTS[case % 3], UniformBox(lo, hi))
+            ts = np.concatenate([edges, rng.uniform(-0.5, 1.5, size=(6, 2))])
+            for t in ts:
+                x = lo + t * (hi - lo)
+                assert abs(_depth_value(ref, x) - _grid_golden_depth(ref, x)) <= 1e-12
+
+    def test_planar_gaussian_matches_the_search(self):
+        """Means near the origin, stds other than 1, points out to |z| = 8,
+        one zero std (x on and off the mean along it) and all-zero stds.
+        The zero-std mean coordinate is 0: elsewhere the search's own
+        <x, u> - <mu, u> cancels to rounding noise divided by a near-zero
+        projected sd, and reads too low."""
+        rng = np.random.default_rng(41)
+        for case in range(40):
+            mu = rng.uniform(-2.0, 2.0, size=2)
+            sigma = rng.uniform(0.2, 3.0, size=2)
+            if case % 4 == 1:
+                flat = int(rng.integers(2))
+                sigma[flat] = mu[flat] = 0.0
+            elif case % 4 == 3:
+                sigma[:] = 0.0
+            ref = reference_for(self.COUNTS[case % 3], DiagonalGaussian(mu, sigma))
+            zs = np.concatenate([[[0.0, 0.0]], rng.normal(size=(5, 2)),
+                                 8.0 * _sphere_directions(2, 4)])
+            for z in zs:
+                x = mu + np.where(sigma > 0, sigma, 1.0) * z
+                if case % 4 == 1 and case % 8 == 1:
+                    x[flat] = 0.0  # on the line that carries the law
+                assert abs(_depth_value(ref, x) - _grid_golden_depth(ref, x)) <= 1e-12
+
+    def test_zero_stds(self):
+        """Off the mean along a zero-std coordinate the depth is 0; with
+        every std zero it is E[L] at the mean."""
+        line = reference_for(ShiftedPoisson(1.5), DiagonalGaussian([0.3, -0.2], [0.0, 2.0]))
+        assert _depth_value(line, np.array([0.3, 0.8])) == 2.5 * float(ndtr(-0.5))
+        assert _depth_value(line, np.array([0.3 + 1e-9, -0.2])) == 0.0
+        atom = reference_for(ShiftedPoisson(1.5), DiagonalGaussian([0.3, -0.2], [0.0, 0.0]))
+        assert _depth_value(atom, np.array([0.3, -0.2])) == 2.5
+        assert _depth_value(atom, np.array([0.3, -0.1])) == 0.0
+
+    def test_three_d_gaussian_below_every_sampled_direction(self):
+        """The closed form is at most the mass of every sampled half-space,
+        and it is the mass along the outward normal (mu - x) / sigma^2, so
+        exact."""
+        mu, sigma = np.array([0.3, -0.2, 1.0]), np.array([1.0, 2.0, 0.5])
+        ref = reference_for(ShiftedPoisson(1.5), DiagonalGaussian(mu, sigma))
+        xs = mu + sigma * np.random.default_rng(43).normal(size=(6, 3))
+        sampled = halfspace_mass(ref, xs, _sphere_directions(3, 10**5)).min(axis=0)
+        for x, bound in zip(xs, sampled):
+            closed = _depth_value(ref, x)
+            normal = (mu - x) / sigma**2
+            assert closed <= bound + 1e-15
+            attained = halfspace_mass(ref, x, normal / np.linalg.norm(normal))
+            assert closed == pytest.approx(attained, abs=1e-15)
+
+    def test_deepest_point_in_three_dimensions_is_exact(self):
+        """The gauss-3d-clip case: the clip (0.5, 0, -1) at Phi(-|x|)."""
+        ref = reference_for(FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0] * 3))
+        x, d = deepest_point(ref, ([0.5, -1.0, -2.0], [1.5, 1.0, -1.0]))
+        assert x.tolist() == [0.5, 0.0, -1.0]
+        assert d == float(ndtr(-np.linalg.norm(x)))
+
+    def test_no_closed_form_where_none_is_known(self):
+        """Boxes in d >= 3 and atomic measures have none; they keep the
+        sampled bound or the exact sweep."""
+        cube = UniformBox([0.0] * 3, [1.0] * 3)
+        assert cube.depth([0.5] * 3) is None
+        assert reference_for(FixedCount(2), cube).depth([0.5] * 3) is None
+        discrete = reference_for(FixedCount(1), DiscretePoints(DIAMOND, [0.25] * 4))
+        for atomic in (point_measure(DIAMOND), discrete):
+            assert atomic.depth([0.0, 0.0]) is None
+
+    def test_analytic_depths_take_no_line_mass(self, monkeypatch):
+        """Planar Gaussians (E[L] = 2.5, a zero std), a planar box and a 3-d
+        Gaussian make no ``line_mass`` call; a 1-d reference still goes
+        through ``depth_1d``, which does."""
+        cases = [
+            (ShiftedPoisson(1.5), DiagonalGaussian([0.5, -1.0], [1.0, 3.0]), [0.7, 0.2]),
+            (ShiftedPoisson(1.5), DiagonalGaussian([0.3, 0.0], [0.0, 1.0]), [0.3, 0.4]),
+            (FixedCount(2), UniformBox([0.0, 0.0], [1.0, 2.0]), [0.4, 1.5]),
+            (FixedCount(1), DiagonalGaussian([0.0] * 3, [1.0, 2.0, 0.5]), [0.1, 0.2, 0.3]),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("line_mass called")
+
+        monkeypatch.setattr(MixedBinomialReference, "line_mass", refuse)
+        for count, disp, x in cases:
+            ref = reference_for(count, disp)
+            assert 0.0 < _depth_value(ref, np.array(x)) < ref.total_mass / 2
+        calls = []
+        inner = depth_module.depth_1d
+        monkeypatch.setattr(depth_module, "depth_1d", lambda *a: calls.append(a) or inner(*a))
+        line = reference_for(FixedCount(1), DiagonalGaussian([0.0], [1.0]))
+        with pytest.raises(AssertionError, match="line_mass called"):
+            _depth_value(line, np.array([0.4]))
+        assert len(calls) == 1
 
 
 class TestBatchQueries:

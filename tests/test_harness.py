@@ -562,13 +562,16 @@ class TestCli:
             ("brw", {"count": {"kind": "fixed", "k": 2}, "j_grid": [40]}),
             ("simulate", {"target": "tree", "count": {"kind": "fixed", "k": 2},
                           "generations": 40}),
+            ("depth", {**DEPTH_1D, "disp": {"kind": "uniform", "low": [-1e308], "high": [1e308]}}),
+            ("ulln", {"disp": {"kind": "gaussian", "mean": [0.0], "std": [1e200]}}),
         ],
         ids=["diag-eps-zero", "bound-eps-negative", "bound-eps-inf", "clt-gt-draws-zero",
              "ulln-nan-rate", "bound-beta-nan", "bound-alpha-negative", "depth-box-inverted",
              "depth-box-not-pair", "depth-eval-dim", "ulln-count-list",
              "ulln-n-grid-fraction", "ulln-replicates-fraction", "brw-theta-overflow",
              "brw-fluct-theta-overflow", "brw-tree-cap", "brw-expected-tree-size",
-             "simulate-expected-tree-size"],
+             "simulate-expected-tree-size", "uniform-width-overflow",
+             "gaussian-std-squared-overflow"],
     )
     def test_bad_values_exit_one_with_one_line(self, tmp_path, capsys, kind, overrides):
         """Malformed values end in exit 1 and a one-line message, and no
