@@ -195,7 +195,9 @@ class ShiftedPoisson(CountLaw):
             )
 
     def sample(self, gen, size):
-        return 1 + gen.poisson(self.lam, size=size).astype(np.int64)
+        out = gen.poisson(self.lam, size=size)  # already int64
+        out += 1
+        return out
 
     def moments(self):
         lam = self.lam
@@ -607,14 +609,152 @@ class UniformBox(DisplacementLaw):
         return math.exp(theta * a) * math.expm1(x) / x
 
 
-def _ndtr(x):
-    """``scipy.special.ndtr``, imported on the first call, which rebinds
-    this name to it: importing ``scipy.special`` takes about 0.3 s, and an
-    import statement per call costs more than a small ``ndtr``."""
-    global _ndtr
-    from scipy.special import ndtr as _ndtr
+# Cephes ndtr.c (S. L. Moshier, 1989), highest power first: erf(x) =
+# x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond.  U, Q and S are monic.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 once z^2 passes it
+# The largest z whose rounded square is at most MAXLOG, so that z <= it
+# tests z^2 <= MAXLOG without squaring a huge z.
+_ERFC_ZMAX = math.sqrt(_MAXLOG)
 
-    return _ndtr(x)
+
+def _ratio_steps(num, den):
+    """Cephes ``polevl(num)`` beside the monic ``p1evl(den)`` as Horner steps
+    of (numerator, denominator) coefficient pairs, the shorter led by zeros:
+    0 or 1 times s, plus the next coefficient, is the first step of either
+    bit for bit."""
+    den = (1.0, *den)
+    k = max(len(num), len(den))
+    pad = lambda c: (0.0,) * (k - len(c)) + c
+    return tuple(zip(pad(num), pad(den)))
+
+
+_ERF_TU = _ratio_steps(_ERF_T, _ERF_U)
+_ERFC_PQ = _ratio_steps(_ERFC_P, _ERFC_Q)
+_ERFC_RS = _ratio_steps(_ERFC_R, _ERFC_S)
+_ERF_TU_ROWS, _ERFC_PQ_ROWS, _ERFC_RS_ROWS = (
+    np.array(steps)[..., None] for steps in (_ERF_TU, _ERFC_PQ, _ERFC_RS)
+)
+# At or below this many values a Python loop (about 1 us a value) beats the
+# array path's fixed cost (about 40 us a call).
+_NDTR_LOOP_MAX = 32
+
+
+def _ratio_one(s, steps):
+    """Numerator and denominator at the float ``s``, Horner step by step."""
+    num, den = steps[0]
+    for cn, cd in steps[1:]:
+        num = num * s + cn
+        den = den * s + cd
+    return num, den
+
+
+def _ratio_rows(s, steps):
+    """``_ratio_one`` at every value of the 1-d ``s``, for the array
+    ``steps`` (k, 2, 1): two array operations per step."""
+    acc = np.empty((2, s.size))
+    acc[...] = steps[0]
+    for c in steps[1:]:
+        acc *= s
+        acc += c
+    return acc
+
+
+def _half_erfc(z: float) -> float:
+    """0.5 erfc(z) for 1 <= z <= ``_ERFC_ZMAX``, as Cephes computes it."""
+    p, q = _ratio_one(z, _ERFC_PQ if z < 8.0 else _ERFC_RS)
+    return 0.5 * (math.exp(-z * z) * p / q)
+
+
+def _ndtr_one(a: float) -> float:
+    """Cephes ``ndtr`` of one float, branch for branch."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        t, u = _ratio_one(x * x, _ERF_TU)
+        erf = x * t / u
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * erf
+        y = 0.5 * (1.0 - abs(erf))
+    elif z <= _ERFC_ZMAX:
+        y = _half_erfc(z)
+    elif z != z:
+        return z
+    else:
+        y = 0.0
+    return 1.0 - y if x > 0.0 else y
+
+
+def _ndtr(a):
+    """The standard normal CDF of every value of ``a``, bit for bit
+    ``scipy.special.ndtr``: a port of Cephes ``ndtr``, ``erf`` and ``erfc``
+    (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
+    1989), with their branches and operation order.
+
+    With x = a / sqrt(2) and z = |x|, Phi is 0.5 + 0.5 erf(x) for z <
+    sqrt(1/2), and otherwise 0.5 erfc(z), taken as 1 - that when x > 0.
+    erf(x) is x T(x^2) / U(x^2); erfc(z) is 1 - erf(z) below 1, and exp(-z^2)
+    P/Q or, from 8, R/S above, 0 once z^2 passes MAXLOG.  exp comes from
+    libm through ``math.exp``, as in the C code: numpy's SIMD ``np.exp``
+    differs from it in the last bit on about 2% of arguments.
+
+    Up to ``_NDTR_LOOP_MAX`` values go through ``_ndtr_one``.  Longer inputs
+    evaluate T/U at every value (z capped at ``_ERFC_ZMAX``, so that nothing
+    overflows), then exp and P/Q only where erfc takes them (one float at a
+    time where that is at most ``_NDTR_LOOP_MAX`` values) and R/S only where
+    some z >= 8, and pick each value's branch.  erf(x) is taken as the
+    sign of x on |x| T / U, the same float.  NaN stays NaN and no
+    floating-point warning is raised."""
+    a = np.asarray(a, dtype=float)
+    if a.size <= _NDTR_LOOP_MAX:
+        return np.array([_ndtr_one(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    zc = np.minimum(z, _ERFC_ZMAX)
+    t, u = _ratio_rows(zc * zc, _ERF_TU_ROWS)
+    r = zc * t / u  # |erf(x)| where z < 1
+    h = np.where(z >= 1.0, 0.0, 0.5 * (1.0 - r))  # 0.5 erfc(z), 0 where it underflows
+    far = ((z >= 1.0) & (z <= _ERFC_ZMAX)).nonzero()[0]
+    if 0 < far.size <= _NDTR_LOOP_MAX:
+        h[far] = [_half_erfc(v) for v in z[far].tolist()]
+    elif far.size:
+        zf = z[far]
+        e = np.fromiter(map(math.exp, (-zf * zf).tolist()), float, far.size)
+        p, q = _ratio_rows(zf, _ERFC_PQ_ROWS)
+        tail = (zf >= 8.0).nonzero()[0]
+        if tail.size:
+            p[tail], q[tail] = _ratio_rows(zf[tail], _ERFC_RS_ROWS)
+        h[far] = 0.5 * (e * p / q)
+    y = np.where(x > 0.0, 1.0 - h, h)
+    y = np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(r, x), y)
+    return y.reshape(a.shape)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from ..generators import (
     DisplacementLaw,
     RngStream,
     UniformBox,
+    _ndtr,
     draw_flat,
     draw_sample,
 )
@@ -292,14 +293,12 @@ def _cov_with_se(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normal_ks_distance(values: np.ndarray) -> float:
     """KS distance of ``values`` over their sample sd (ddof 1) from the
     standard normal, 0 for constant values (whose sd may round to a tiny
-    nonzero number).  Phi(z) is libm's ``0.5 * erfc(-z / sqrt(2))`` per
-    value, within 2.2e-16 of ``scipy.special.ndtr`` and without importing
-    ``scipy.special``."""
+    nonzero number).  Phi is ``generators._ndtr``, the Gaussian law's rule."""
     sd = values.std(ddof=1)
     if sd == 0 or values.min() == values.max():
         return 0.0
     z = np.sort(values / sd)
-    cdf = 0.5 * np.array([math.erfc(v) for v in (-z / math.sqrt(2.0)).tolist()])
+    cdf = _ndtr(z)
     n = z.size
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)

@@ -470,7 +470,7 @@ def halfline_sup_rows(
     atom_xs, atom_ws = (np.empty(0), np.empty(0)) if atoms is None else (atoms[0] @ u, -atoms[1])
     longest = int(sizes.max(initial=0))
     if sorted_rows:
-        prefix = _prefix(np.full(longest, ws))
+        prefix = _prefix(np.broadcast_to(ws, (longest,)))
     out = np.empty(sizes.size)
     starts = np.cumsum(sizes) - sizes
     per = max(1, (1 << 15) // max(1, longest + atom_xs.size))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ppdepth import (
     sample_pattern,
     sample_sample,
 )
-from ppdepth.generators import POISSON_RATE_CAP, draw_flat
+from ppdepth.generators import _ERFC_ZMAX, _MAXLOG, POISSON_RATE_CAP, _ndtr, draw_flat
 
 ALL_COUNT_LAWS = [
     FixedCount(3),
@@ -214,6 +215,16 @@ class TestCountSampling:
     def test_sample_count_single_draw(self):
         assert sample_count(FixedCount(7), RngStream(0)) == 7
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 7.5, 1e6])
+    def test_shifted_poisson_draws_equal_one_plus_poisson(self, lam):
+        """The in-place shift writes the bytes of ``1 + poisson`` cast to int64."""
+        for seed in (0, 3, 17):
+            for size in (0, 1, 7, 1000):
+                got = ShiftedPoisson(lam).sample(RngStream(seed).generator(), size)
+                gen = RngStream(seed).generator()
+                want = 1 + gen.poisson(lam, size=size).astype(np.int64)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
 
 class TestCoxPmf:
     def test_rejects_k_below_one(self):
@@ -304,6 +315,57 @@ class TestCountMoments:
                     math.exp(theta * (k + 1)) * p for k, p in enumerate(law.probs)
                 )
             assert m.mgf(theta) == pytest.approx(series, rel=1e-10)
+
+
+class TestNdtr:
+    """``_ndtr`` is Cephes ``ndtr``: the bytes of ``scipy.special.ndtr``."""
+
+    @staticmethod
+    def inputs():
+        gen = np.random.default_rng(23)
+        # a = x sqrt(2) at each branch edge of z = |x|: sqrt(1/2), 1, 8, MAXLOG
+        edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), _ERFC_ZMAX * math.sqrt(2.0)])
+        edges = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, -5e-324, 1e308]
+        return np.concatenate([
+            np.linspace(-40.0, 40.0, 400_001), gen.normal(0.0, 3.0, 100_000),
+            np.exp(gen.uniform(-745.0, 6.0, 100_000)) * gen.choice([-1.0, 1.0], 100_000),
+            edges, -edges, specials,
+        ])
+
+    def test_bits_equal_scipy(self):
+        a = self.inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ndtr(a)
+        assert got.tobytes() == ndtr(a).tobytes()
+
+    def test_shapes(self):
+        a = self.inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (a[: a.size // 40 * 40].reshape(-1, 40), a[-10:].reshape(2, 5), np.float64(-0.3), np.inf,
+                      -np.inf, np.nan, -0.0, np.empty((0, 3))):
+                got, want = _ndtr(x), ndtr(x)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 7, 32, 33, 48, 200])
+    def test_bits_equal_scipy_in_short_inputs(self, width):
+        """Inputs of up to ``_NDTR_LOOP_MAX`` values take the float loop, and
+        longer ones with few erfc values loop over those alone: every path
+        gives scipy's bytes."""
+        a = np.random.default_rng(5).permutation(self.inputs())[:20_000]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for part in np.array_split(a, a.size // width):
+                assert _ndtr(part).tobytes() == ndtr(part).tobytes()
+
+    def test_erfc_cut_is_the_squared_test(self):
+        """z <= _ERFC_ZMAX is Cephes' z * z <= MAXLOG on every double z."""
+        assert _ERFC_ZMAX * _ERFC_ZMAX <= _MAXLOG
+        above = np.nextafter(_ERFC_ZMAX, np.inf)
+        assert above * above > _MAXLOG
 
 
 class TestDisplacementLaws:

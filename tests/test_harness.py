@@ -402,9 +402,10 @@ class TestRunners:
         return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
 
     def test_normal_ks_distance_against_scipy_ndtr(self):
-        """The libm normal CDF gives the KS distance of ``scipy.special.ndtr``
-        to 1e-15 on normal, heavy-tailed and tied inputs, and exactly 0 on
-        constant ones, also where their sd rounds to a tiny nonzero number."""
+        """The in-library normal CDF gives the KS distance of
+        ``scipy.special.ndtr`` exactly on normal, heavy-tailed and tied inputs,
+        and exactly 0 on constant ones, also where their sd rounds to a tiny
+        nonzero number."""
         gen = np.random.default_rng(11)
         inputs = [
             gen.normal(size=2000), gen.normal(3.0, 0.01, size=7), gen.standard_t(2, size=2000),
@@ -413,7 +414,7 @@ class TestRunners:
         ]
         for values in inputs:
             values = values - values.mean()
-            assert abs(_normal_ks_distance(values) - self._ks_with_ndtr(values)) <= 1e-15
+            assert _normal_ks_distance(values) == self._ks_with_ndtr(values)
         for c, m in ((0.0, 10), (3.0, 50), (0.3, 50), (-7.7, 400)):
             assert _normal_ks_distance(np.full(m, c)) == 0.0
 
@@ -878,8 +879,8 @@ class TestCli:
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    """Importing the CLI loads no ``scipy.special``: the Gaussian projection
-    CDF, the Cox pmf and the sphere directions import it on first use."""
+    """Importing the CLI loads no ``scipy.special``: only the Cox pmf and the
+    sphere directions of d >= 3 import it, on first use."""
     src = os.path.dirname(os.path.dirname(ppdepth.__file__))
     code = "import sys, ppdepth.harness.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
@@ -887,6 +888,26 @@ def test_cli_import_leaves_scipy_special_unloaded():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stdout.strip() == "False"
+
+
+def _loaded_after_runs(runs, out_dir, module):
+    """Whether ``module`` is in ``sys.modules`` of a fresh interpreter after
+    it runs each (kind, config path) of ``runs`` through the CLI on one
+    worker, each run exiting 0."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from ppdepth.harness.cli import main\n"
+        f"for kind, config in {runs!r}:\n"
+        f"    assert main([kind, '--config', config, '--out', {str(out_dir)!r},"
+        " '--threads', '1']) == 0\n"
+        f"print({module!r} in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return {"True": True, "False": False}[proc.stdout.strip()]
 
 
 def test_depth_runs_leave_scipy_optimize_unloaded(tmp_path):
@@ -899,19 +920,8 @@ def test_depth_runs_leave_scipy_optimize_unloaded(tmp_path):
         kind="depth", disp={"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 3.0]},
         n_grid=[40], replicates=2, eval_points=[[0.0, 0.0]], epsilon_grid=[0.3],
     )))
-    code = (
-        "import sys\n"
-        "from ppdepth.harness.cli import main\n"
-        f"for config in {[str(root / 'configs' / 'depth.json'), str(planar)]!r}:\n"
-        f"    assert main(['depth', '--config', config, '--out', {str(tmp_path)!r},"
-        " '--threads', '1']) == 0\n"
-        "print('scipy.optimize' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert proc.stdout.strip() == "False"
+    runs = [("depth", str(root / "configs" / "depth.json")), ("depth", str(planar))]
+    assert not _loaded_after_runs(runs, tmp_path, "scipy.optimize")
 
 
 def test_shipped_configs_leave_scipy_special_unloaded(tmp_path):
@@ -921,19 +931,25 @@ def test_shipped_configs_leave_scipy_special_unloaded(tmp_path):
     runs = [(json.loads(p.read_text())["kind"], str(p))
             for p in sorted((root / "configs").glob("*.json"))]
     assert len(runs) == 7
-    code = (
-        "import sys\n"
-        "from ppdepth.harness.cli import main\n"
-        f"for kind, config in {runs!r}:\n"
-        f"    assert main([kind, '--config', config, '--out', {str(tmp_path)!r},"
-        " '--threads', '1']) == 0\n"
-        "print('scipy.special' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert proc.stdout.strip() == "False"
+    assert not _loaded_after_runs(runs, tmp_path, "scipy.special")
+
+
+def test_gaussian_runs_leave_scipy_special_unloaded(tmp_path):
+    """The Gaussian normal CDF is in-library: a fresh interpreter that runs a
+    planar Gaussian ``depth`` config and a Gaussian ``half_spaces(2)``
+    ``ulln`` config has not imported ``scipy.special``."""
+    gauss = {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 3.0]}
+    runs = []
+    for kind, extra in (
+        ("depth", {"n_grid": [40], "replicates": 1, "eval_points": [[0.0, 0.0], [1.5, -3.0]],
+                   "epsilon_grid": [0.3]}),
+        ("ulln", {"function_class": {"kind": "half_spaces", "dim": 2}, "n_grid": [4, 8],
+                  "replicates": 6}),
+    ):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(base_config(kind=kind, disp=gauss, **extra)))
+        runs.append((kind, str(path)))
+    assert not _loaded_after_runs(runs, tmp_path, "scipy.special")
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
