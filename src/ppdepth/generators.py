@@ -659,38 +659,19 @@ def _ratio_steps(num, den):
 _ERF_TU = _ratio_steps(_ERF_T, _ERF_U)
 _ERFC_PQ = _ratio_steps(_ERFC_P, _ERFC_Q)
 _ERFC_RS = _ratio_steps(_ERFC_R, _ERFC_S)
-_ERF_TU_ROWS, _ERFC_PQ_ROWS, _ERFC_RS_ROWS = (
-    np.array(steps)[..., None] for steps in (_ERF_TU, _ERFC_PQ, _ERFC_RS)
-)
 # At or below this many values a Python loop (about 1 us a value) beats the
 # array path's fixed cost (about 40 us a call).
 _NDTR_LOOP_MAX = 32
 
 
 def _ratio_one(s, steps):
-    """Numerator and denominator at the float ``s``, Horner step by step."""
+    """Numerator and denominator at ``s``, a float or an array, Horner step
+    by step."""
     num, den = steps[0]
     for cn, cd in steps[1:]:
         num = num * s + cn
         den = den * s + cd
     return num, den
-
-
-def _ratio_rows(s, steps):
-    """``_ratio_one`` at every value of the 1-d ``s``, for the array
-    ``steps`` (k, 2, 1): two array operations per step."""
-    acc = np.empty((2, s.size))
-    acc[...] = steps[0]
-    for c in steps[1:]:
-        acc *= s
-        acc += c
-    return acc
-
-
-def _half_erfc(z: float) -> float:
-    """0.5 erfc(z) for 1 <= z <= ``_ERFC_ZMAX``, as Cephes computes it."""
-    p, q = _ratio_one(z, _ERFC_PQ if z < 8.0 else _ERFC_RS)
-    return 0.5 * (math.exp(-z * z) * p / q)
 
 
 def _ndtr_one(a: float) -> float:
@@ -704,7 +685,8 @@ def _ndtr_one(a: float) -> float:
             return 0.5 + 0.5 * erf
         y = 0.5 * (1.0 - abs(erf))
     elif z <= _ERFC_ZMAX:
-        y = _half_erfc(z)
+        p, q = _ratio_one(z, _ERFC_PQ if z < 8.0 else _ERFC_RS)
+        y = 0.5 * (math.exp(-z * z) * p / q)
     elif z != z:
         return z
     else:
@@ -727,9 +709,8 @@ def _ndtr(a):
 
     Up to ``_NDTR_LOOP_MAX`` values go through ``_ndtr_one``.  Longer inputs
     evaluate T/U at every value (z capped at ``_ERFC_ZMAX``, so that nothing
-    overflows), then exp and P/Q only where erfc takes them (one float at a
-    time where that is at most ``_NDTR_LOOP_MAX`` values) and R/S only where
-    some z >= 8, and pick each value's branch.  erf(x) is taken as the
+    overflows), then exp and P/Q only where erfc takes them and R/S only
+    where some z >= 8, and pick each value's branch.  erf(x) is taken as the
     sign of x on |x| T / U, the same float.  NaN stays NaN and no
     floating-point warning is raised."""
     a = np.asarray(a, dtype=float)
@@ -738,19 +719,17 @@ def _ndtr(a):
     x = a.reshape(-1) * _SQRT1_2
     z = np.abs(x)
     zc = np.minimum(z, _ERFC_ZMAX)
-    t, u = _ratio_rows(zc * zc, _ERF_TU_ROWS)
+    t, u = _ratio_one(zc * zc, _ERF_TU)
     r = zc * t / u  # |erf(x)| where z < 1
     h = np.where(z >= 1.0, 0.0, 0.5 * (1.0 - r))  # 0.5 erfc(z), 0 where it underflows
     far = ((z >= 1.0) & (z <= _ERFC_ZMAX)).nonzero()[0]
-    if 0 < far.size <= _NDTR_LOOP_MAX:
-        h[far] = [_half_erfc(v) for v in z[far].tolist()]
-    elif far.size:
+    if far.size:
         zf = z[far]
         e = np.fromiter(map(math.exp, (-zf * zf).tolist()), float, far.size)
-        p, q = _ratio_rows(zf, _ERFC_PQ_ROWS)
+        p, q = _ratio_one(zf, _ERFC_PQ)
         tail = (zf >= 8.0).nonzero()[0]
         if tail.size:
-            p[tail], q[tail] = _ratio_rows(zf[tail], _ERFC_RS_ROWS)
+            p[tail], q[tail] = _ratio_one(zf[tail], _ERFC_RS)
         h[far] = 0.5 * (e * p / q)
     y = np.where(x > 0.0, 1.0 - h, h)
     y = np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(r, x), y)

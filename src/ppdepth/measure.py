@@ -280,11 +280,14 @@ def _prefix(ws: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) -> None:
+def _sorted_row_sups(
+    proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray, masses: list | None = None
+) -> None:
     """Write into ``out`` the half-line sup of each row of ``proj`` against
     the atomless ``ref`` along ``u`` (one direction, or one per row), for
     rows sorted ascending whose points carry the positive weights summed in
-    ``prefix`` (one prefix for all rows, or one per row).
+    ``prefix`` (one prefix for all rows, or one per row).  A list ``masses``
+    receives the reference masses of each column chunk.
 
     Row i equals ``_line_sup``'s value on it.  With positive weights
     ``prefix[:-1] <= prefix[1:]`` elementwise, and rounding is monotone, so
@@ -300,6 +303,8 @@ def _sorted_row_sups(proj, u, prefix, ref: ReferenceMeasure, out: np.ndarray) ->
     for c in range(0, max(width, 1), _COLUMN_CHUNK):
         stop = min(c + _COLUMN_CHUNK, width)
         ref_vals = np.asarray(ref.line_mass(u, proj[:, c:stop]), dtype=float)
+        if masses is not None:
+            masses.append(ref_vals)
         dev = prefix[..., c + 1 : stop + 1] - ref_vals
         hi = dev.max(axis=1) if c == 0 else np.maximum(hi, dev.max(axis=1))
         np.subtract(prefix[..., c:stop], ref_vals, out=dev)
@@ -612,7 +617,7 @@ def _sphere_directions(dim: int, k: int) -> np.ndarray:
 
 
 def _direction_sups(
-    pts: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, dirs: np.ndarray
+    pts: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, dirs: np.ndarray, kept: dict | None = None
 ) -> np.ndarray:
     """``_ref_line_sup``'s value for every direction of ``dirs`` (points
     ``pts`` at weights ``ws``, 1/n each), bit for bit.
@@ -620,8 +625,10 @@ def _direction_sups(
     Directions go in blocks of about 2^15 projected values; row i is ``pts @
     dirs[i]``, the one-direction sweep's BLAS call (one product over sample
     and atoms together would move last bits).  Atomless references go to
-    ``_sorted_row_sups``.  Against atoms, their projections follow each row
-    at weights -mass, as ``_ref_line_sup`` places them, for
+    ``_sorted_row_sups``; a dict ``kept`` then maps the index of each
+    block's first maximal row to that row's sorted projections and their
+    reference masses.  Against atoms, their projections follow each row at
+    weights -mass, as ``_ref_line_sup`` places them, for
     ``_signed_row_sups``.
     """
     atoms = ref.atoms()
@@ -638,7 +645,11 @@ def _direction_sups(
         proj = np.matmul(pts, block[:, :, None])[:, :, 0]
         if atoms is None:
             proj.sort(axis=1)
-            _sorted_row_sups(proj, block, prefix, ref, out[lo : lo + per])
+            chunks = None if kept is None else []
+            _sorted_row_sups(proj, block, prefix, ref, out[lo : lo + per], chunks)
+            if kept is not None:
+                i = int(np.argmax(out[lo : lo + per]))
+                kept[lo + i] = proj[i].copy(), np.concatenate([m[i] for m in chunks])
         else:
             rows = np.concatenate([proj, np.matmul(atom_pts, block[:, :, None])[:, :, 0]], axis=1)
             _signed_row_sups(rows, np.broadcast_to(signed, rows.shape), out[lo : lo + per])
@@ -651,11 +662,22 @@ def _directional_sup(
     """The largest ``_ref_line_sup`` over the directions ``dirs`` and its
     half-space.  Every direction is valued in blocks (``_direction_sups``),
     and only the first one that attains the maximum is swept again, to
-    locate the boundary."""
+    locate the boundary.  Against an atomless reference that sweep reads
+    the masses its block computed: ``line_mass`` is elementwise in s, and
+    one direction is the one-row block, so they are the bytes a new call
+    would give, also at tied projections."""
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
-    u = dirs[int(np.argmax(_direction_sups(pts, ws, ref, dirs)))]
-    value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
+    kept = {}
+    i = int(np.argmax(_direction_sups(pts, ws, ref, dirs, kept)))
+    u = dirs[i]
+    if i in kept:
+        row, masses = kept[i]
+        value, t, orient = _line_sup(
+            row, ws, lambda pos: masses[np.searchsorted(row, pos)], ref.total_mass
+        )
+    else:
+        value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
     if not math.isfinite(t):
         # tail candidate: the half-space degenerates to R^d or the empty set
         t = math.copysign(1e300, t)

@@ -352,8 +352,8 @@ class TestNdtr:
 
     @pytest.mark.parametrize("width", [1, 7, 32, 33, 48, 200])
     def test_bits_equal_scipy_in_short_inputs(self, width):
-        """Inputs of up to ``_NDTR_LOOP_MAX`` values take the float loop, and
-        longer ones with few erfc values loop over those alone: every path
+        """Inputs of up to ``_NDTR_LOOP_MAX`` values take the float loop and
+        longer ones the array path, with few or many erfc values: every path
         gives scipy's bytes."""
         a = np.random.default_rng(5).permutation(self.inputs())[:20_000]
         with warnings.catch_warnings():

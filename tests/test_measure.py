@@ -577,6 +577,39 @@ class TestBlockedDirectionalSup:
         assert res.value == vals.max() == value
         assert res.argmax.direction.tobytes() == HalfSpaceIndicator(t * u, orient * u).direction.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1 << 14, 8])
+    @pytest.mark.parametrize("case", ["box", "gaussian", "lattice-box", "three-blocks"])
+    def test_atomless_winner_reuses_its_block_masses(self, case, chunk, monkeypatch):
+        """Against an atomless reference the first maximal direction is
+        located from the sorted row and masses its block computed: no
+        ``line_mass`` call beyond one per block and column chunk, and the
+        value, boundary point and direction of a new one-direction sweep,
+        tied projections (a 1/4 lattice) and split blocks included."""
+        monkeypatch.setattr(measure, "_COLUMN_CHUNK", chunk)
+        disp = DiagonalGaussian([0.3, -0.2], [1.0, 3.0]) if case == "gaussian" else UniformBox(
+            [-1.0, 0.0], [2.0, 0.5])
+        s = sample_sample(40 if case == "three-blocks" else 12, FixedCount(1), disp, RngStream(31))
+        if case == "lattice-box":
+            s = self._lattice(s)
+        ref = reference_for(FixedCount(1), disp)
+        pts, ws = s.all_points(), np.full(s.s_n, 1.0 / s.n)
+        dirs = _pair_normal_directions(pts)
+        blocks = -(-len(dirs) // ((1 << 15) // s.s_n))
+        assert (blocks == 3) == (case == "three-blocks")
+        calls = []
+        line_mass = type(ref).line_mass
+        counted = lambda *a, **k: calls.append(1) or line_mass(*a, **k)
+        monkeypatch.setattr(type(ref), "line_mass", counted)
+        res = sup_deviation(s, half_spaces(2), ref)
+        assert len(calls) == blocks * -(-s.s_n // chunk)
+        vals = _direction_sups(pts, ws, ref, dirs)
+        u = dirs[int(np.argmax(vals))]
+        value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
+        want = HalfSpaceIndicator(t * u, orient * u)
+        assert res.value == value == vals.max()
+        assert res.argmax.point.tobytes() == want.point.tobytes()
+        assert res.argmax.direction.tobytes() == want.direction.tobytes()
+
     def test_lattice_atoms_match_per_direction_loop(self):
         """Sample points and atoms of a discrete law on a 1/4 lattice tie in
         projection, so the blocks must project both as the one-direction
