@@ -103,7 +103,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(se)
 
 
-def _loglog_slope(ns: np.ndarray, means: np.ndarray) -> tuple[float, float]:
+def _loglog_slope(ns, means) -> tuple[float, float] | None:
+    """Least-squares slope of log mean against log n and its s.e., or None
+    for fewer than two sizes or a mean that is not positive (its log is not
+    finite)."""
+    if len(ns) < 2 or not min(means) > 0:
+        return None
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(means, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
@@ -159,40 +164,54 @@ def _exceedances(
 
 
 # ---------------------------------------------------------------------------
-# Uniform deviation blocks (shared by the ulln and bound experiments)
+# Replicate runs, and the uniform deviation blocks of ulln and bound
 # ---------------------------------------------------------------------------
 
 
 _SWEEP_POINTS = 1_000_000  # points per sweep call; 2e6 added 6 MiB of peak RSS and saved no time
 
 
+def _buffered_runs(draws, total: int):
+    """Join the draws of ``total`` replicates into runs of one sweep each.
+    ``draws`` yields one tuple of arrays per replicate, each with one row
+    per point (the points, then any value per point), copied into reused
+    buffers of the first draw times the replicates left, at most
+    ``_SWEEP_POINTS`` rows, or one larger draw; a run ends before a draw
+    would overflow them.  Yields (first replicate, point counts, joined
+    arrays), views that the next run overwrites."""
+    bufs, sizes, used, first, rows = [], [], 0, 0, -1
+    for r, arrays in enumerate(draws):
+        m = len(arrays[0])
+        if used + m > rows:
+            if sizes:
+                yield first, sizes, [b[:used] for b in bufs]
+                sizes, used, first = [], 0, r
+            if m > rows:
+                rows = max(m, min(_SWEEP_POINTS, m * (total - r)))
+                bufs = [np.empty((rows,) + a.shape[1:]) for a in arrays]
+        for buf, values in zip(bufs, arrays):
+            buf[used : used + m] = values
+        used += m
+        sizes.append(m)
+    if sizes:
+        yield first, sizes, [b[:used] for b in bufs]
+
+
 def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
     """Sup deviations of replicates lo..hi-1, bit for bit ``sup_deviation``'s
     values.  Half-line samples, for any count law and one-dimensional
-    reference, are drawn into one reused flat buffer (the first draw times
-    the block's replicates, at most ``_SWEEP_POINTS``, or one larger draw),
-    which one ``halfline_sup_rows`` call sweeps before a draw would overflow
-    it.  Every other class goes through ``sup_deviation`` per replicate."""
+    reference, are joined in runs (``_buffered_runs``), each swept by one
+    ``halfline_sup_rows`` call.  Every other class goes through
+    ``sup_deviation`` per replicate."""
     count, disp, cls, ref, n, seed, tag = shared
     gens = RngStream(seed).child_generators(tag, n, lo=lo, hi=hi)
     if not cls.is_half_lines:
         return np.array([sup_deviation(draw_sample(n, count, disp, gen), cls, ref).value
                          for gen in gens])
     out = np.empty(hi - lo)
-    buf, sizes, used = np.empty(0), [], 0
-    for r, gen in enumerate(gens):
-        pts = draw_flat(n, count, disp, gen)[0][:, 0]
-        m = pts.size
-        if used + m > buf.size:
-            if sizes:
-                out[r - len(sizes) : r] = halfline_sup_rows(buf[:used], sizes, 1.0 / n, ref)
-                sizes, used = [], 0
-            if m > buf.size:
-                buf = np.empty(max(m, min(_SWEEP_POINTS, m * (hi - lo - r))))
-        buf[used : used + m] = pts
-        used += m
-        sizes.append(m)
-    out[hi - lo - len(sizes) :] = halfline_sup_rows(buf[:used], sizes, 1.0 / n, ref)
+    draws = ((draw_flat(n, count, disp, gen)[0][:, 0],) for gen in gens)
+    for first, sizes, (xs,) in _buffered_runs(draws, hi - lo):
+        out[first : first + len(sizes)] = halfline_sup_rows(xs, sizes, 1.0 / n, ref)
     return out
 
 
@@ -219,9 +238,9 @@ def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
         records.append(ResultRecord("mean_deviation", mean, None, params, se))
         records.append(ResultRecord("median_deviation", float(np.median(devs)), None, params))
         means.append(mean)
-    if len(config.n_grid) >= 2 and config.replicates >= 2:
-        slope, se = _loglog_slope(np.array(config.n_grid), np.array(means))
-        records.append(ResultRecord("loglog_slope", slope, None, (), se))
+    fit = _loglog_slope(config.n_grid, means) if config.replicates >= 2 else None
+    if fit is not None:
+        records.append(ResultRecord("loglog_slope", fit[0], None, (), fit[1]))
     return RunOutput(records, ("n",))
 
 
@@ -233,30 +252,21 @@ def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 def _clt_block(shared, lo: int, hi: int) -> np.ndarray:
     """sqrt(n) (mu_n f - mu f) of replicates lo..hi-1 for each f, bit for bit
     the per-replicate ``root_n * (f.evaluate(pts).sum() / n - mu f)``.  The
-    block's draws are joined (at most ``_SWEEP_POINTS`` points per join, or
-    one larger draw), each f is evaluated once per join, and each replicate's
-    slice is summed alone: the same pairwise sum over the same values."""
+    block's draws are joined in runs (``_buffered_runs``), each f is
+    evaluated once per run, and each replicate's slice is summed alone: the
+    same pairwise sum over the same values."""
     count, disp, fs, mus, n, seed = shared
     sums = np.empty((hi - lo, len(fs)))
-    run, used, first = [], 0, 0
-    for r, gen in enumerate(RngStream(seed).child_generators("clt", n, lo=lo, hi=hi)):
-        pts, _ = draw_flat(n, count, disp, gen)
-        if run and used + pts.shape[0] > _SWEEP_POINTS:
-            _slice_sums(run, fs, sums[first:r])
-            run, used, first = [], 0, r
-        run.append(pts)
-        used += pts.shape[0]
-    _slice_sums(run, fs, sums[first:])
+    gens = RngStream(seed).child_generators("clt", n, lo=lo, hi=hi)
+    draws = ((draw_flat(n, count, disp, gen)[0],) for gen in gens)
+    for first, sizes, (pts,) in _buffered_runs(draws, hi - lo):
+        ends = np.cumsum(sizes).tolist()
+        for k, f in enumerate(fs):
+            values = f.evaluate(pts)
+            sums[first : first + len(sizes), k] = [
+                values[a:b].sum() for a, b in zip([0] + ends, ends)
+            ]
     return math.sqrt(n) * (sums / n - np.asarray(mus))
-
-
-def _slice_sums(draws: list, fs, out: np.ndarray) -> None:
-    """``out[i, k] = fs[k].evaluate(draws[i]).sum()``, one evaluate per f."""
-    pts = np.concatenate(draws)
-    ends = np.cumsum([p.shape[0] for p in draws]).tolist()
-    for k, f in enumerate(fs):
-        values = f.evaluate(pts)
-        out[:, k] = [values[a:b].sum() for a, b in zip([0] + ends, ends)]
 
 
 def _single_pattern_matrix(
@@ -450,9 +460,9 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
             records.append(ResultRecord("clamped_bound", row.bound.clamped, None, params))
     for i, coord in enumerate(np.asarray(ref_median)):
         records.append(ResultRecord(f"reference_median_x{i + 1}", float(coord)))
-    if len(config.n_grid) >= 2 and min(means) > 0:
-        slope, se = _loglog_slope(np.array(config.n_grid), np.array(means))
-        records.append(ResultRecord("loglog_slope", slope, None, (), se))
+    fit = _loglog_slope(config.n_grid, means)
+    if fit is not None:
+        records.append(ResultRecord("loglog_slope", fit[0], None, (), fit[1]))
     return RunOutput(records, ("n", "epsilon"), violations)
 
 
@@ -538,23 +548,24 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 
 def _diag_block(shared, lo: int, hi: int):
     """Deviations and Rademacher-signed sups of replicates lo..hi-1, each
-    bit for bit ``halfline_sup_weighted``'s value.  The block is drawn first,
-    each replicate's points and then its n sign picks, and then reduced in
-    one ``halfline_sup_rows`` call per kind: weight 1/n against the
-    reference, the signs s_i / n (one ``np.repeat`` over the block's
-    patterns) against zero."""
+    bit for bit ``halfline_sup_weighted``'s value.  Each replicate draws its
+    points and then its n sign picks; its points and their signed weights
+    s_i / n are joined in runs (``_buffered_runs``), and each run is reduced
+    by one ``halfline_sup_rows`` call per kind: weight 1/n against the
+    reference, the signed weights against zero."""
     count, disp, ref, n, seed = shared
-    points, sizes, counts, picks = [], [], [], []
-    for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
-        pts, pattern_counts = draw_flat(n, count, disp, gen)
-        points.append(pts[:, 0])
-        sizes.append(pts.shape[0])
-        counts.append(pattern_counts)
-        picks.append(gen.integers(0, 2, size=n))
-    xs = np.concatenate(points)
-    signed = np.repeat((np.array([-1.0, 1.0]) / n)[np.concatenate(picks)], np.concatenate(counts))
-    devs = halfline_sup_rows(xs, sizes, 1.0 / n, ref)
-    syms = halfline_sup_rows(xs, sizes, signed, None)
+    signs = np.array([-1.0, 1.0]) / n
+
+    def draws():
+        for gen in RngStream(seed).child_generators("diag", n, lo=lo, hi=hi):
+            pts, counts = draw_flat(n, count, disp, gen)
+            yield pts[:, 0], np.repeat(signs[gen.integers(0, 2, size=n)], counts)
+
+    devs, syms = np.empty(hi - lo), np.empty(hi - lo)
+    for first, sizes, (xs, signed) in _buffered_runs(draws(), hi - lo):
+        run = slice(first, first + len(sizes))
+        devs[run] = halfline_sup_rows(xs, sizes, 1.0 / n, ref)
+        syms[run] = halfline_sup_rows(xs, sizes, signed, None)
     return devs, syms
 
 

@@ -24,9 +24,13 @@ three and above.
 Every half-line sweep takes its empirical masses from one rule: ``prefix``
 holds the m + 1 prefix sums of the sorted weights with a leading 0
 (``np.cumsum``), the weak mass (-inf, x] is ``prefix[#points <= x]`` and the
-strict mass (-inf, x) is ``prefix[#points < x]``.  ``halfline_sup_rows``
-sweeps a block of samples (flat points, per-sample sizes, one weight or one
-per point), each bit for bit ``halfline_sup_weighted`` on its sample.
+strict mass (-inf, x) is ``prefix[#points < x]``.  Rows are sorted by one
+block sort (``_block_sort``), and inside a tie group only the group's own
+masses are candidates.  The one-row sweep ``_ref_line_sup`` is the one-row
+block, located by ``_locate``; ``halfline_sup_rows`` sweeps a block of
+samples (flat points, per-sample sizes, one weight or one per point), each
+bit for bit ``halfline_sup_weighted`` on its sample.  One positive weight
+against an atomless reference takes the fast reducer ``_sorted_row_sups``.
 """
 
 from __future__ import annotations
@@ -289,7 +293,7 @@ def _sorted_row_sups(
     ``prefix`` (one prefix for all rows, or one per row).  A list ``masses``
     receives the reference masses of each column chunk.
 
-    Row i equals ``_line_sup``'s value on it.  With positive weights
+    Row i equals ``_ref_line_sup``'s value on it.  With positive weights
     ``prefix[:-1] <= prefix[1:]`` elementwise, and rounding is monotone, so
     every strict deviation is at most its weak one: the largest of all
     deviations is ``hi``, the max of the weak ones, and the smallest is
@@ -315,58 +319,47 @@ def _sorted_row_sups(
         np.maximum(out, sup, out=out)
 
 
-def _line_sup(
-    xs: np.ndarray, ws: np.ndarray, ref_mass=None, ref_total: float = 0.0
-) -> tuple[float, float, int]:
-    """Exact sup over closed half-lines of |emp - ref| on a projected axis.
+def _block_sort(xs: np.ndarray, ws: np.ndarray):
+    """Sort each row of the positions ``xs`` with its weights ``ws`` (or a
+    broadcast of them) by the default argsort, and by the stable one where
+    positions tie, so each prefix sum adds the same weights in the same
+    order (the +inf padding ties too, but at weight 0).  Returns the sorted
+    rows, the mask of each tie group's last point and every row's prefix
+    sums (``_prefix``)."""
+    rows = np.arange(xs.shape[0])[:, None]
+    order = np.argsort(xs, axis=1)
+    sorted_xs = xs[rows, order]
+    last = np.ones(xs.shape, dtype=bool)
+    np.not_equal(sorted_xs[:, 1:], sorted_xs[:, :-1], out=last[:, :-1])
+    if not last.all():
+        tied = (~last[:, :-1] & (sorted_xs[:, :-1] < np.inf)).any(axis=1)
+        order[tied] = np.argsort(xs[tied], axis=1, kind="stable")
+    prefix = np.zeros((xs.shape[0], xs.shape[1] + 1))
+    np.cumsum(ws[rows, order], axis=1, out=prefix[:, 1:])
+    return sorted_xs, last, prefix
 
-    ``xs`` are data positions with signed weights ``ws``; ``ref_mass(s)``
-    gives the mass of (-inf, s] of an atomless reference, which is also that
-    of (-inf, s), and ``None`` means the zero measure.  A purely atomic
-    reference is swept as its atoms against the zero measure
-    (``_ref_line_sup``).  Both orientations and both one-sided limits are
-    scanned at every data position.  Returns (value, threshold,
-    orientation); infinite thresholds encode the tails.
 
-    The empirical masses follow the module's prefix rule (``_prefix``) in
-    stably sorted order.  Equal weights only need the sorted positions, since
-    no order of ties changes their prefix sums.  Unequal weights take the
-    default argsort, which agrees with the stable one unless positions tie;
-    only then is the stable argsort run.  The value comes from the extremes
-    of the weak and strict deviations (``_sweep_sups``); one argmax over the
-    winning candidate then gives its first index, so the threshold and
-    orientation follow the scan order: weak, strict, then the two reversed
+def _locate(pos, weak, strict, dtot) -> tuple[float, float, int]:
+    """(value, threshold, orientation) of the sweep over the sorted
+    positions ``pos``, from the deviations of (-inf, x] (``weak``) and of
+    (-inf, x) (``strict``) at each and the total deviation ``dtot``;
+    infinite thresholds encode the tails.  Signed masses are not monotone
+    inside a tie group, so only its own masses are candidates: the weak one
+    at its last point, the strict one at its first.  The value comes from
+    their extremes (``_sweep_sups``), and one argmax over the winning
+    candidate gives its first group: weak, strict, then the two reversed
     candidates, each taken only when strictly larger than all before it and
-    the tails.
-    """
-    if ws.size and (ws == ws[0]).all():
-        xs = np.sort(xs)
-    else:
-        order = np.argsort(xs)
-        sorted_xs = xs[order]
-        if not (sorted_xs[1:] > sorted_xs[:-1]).all():
-            order = np.argsort(xs, kind="stable")
-            sorted_xs = xs[order]
-        xs, ws = sorted_xs, ws[order]
-    prefix = _prefix(ws)
-
-    if (xs[1:] > xs[:-1]).all():
-        pos, dev_weak, dev_strict = xs, prefix[1:], prefix[:-1]
-    else:
-        pos = np.unique(xs)
-        dev_weak = prefix[np.searchsorted(xs, pos, side="right")]
-        dev_strict = prefix[np.searchsorted(xs, pos, side="left")]
-    if ref_mass is not None:
-        ref_vals = np.asarray(ref_mass(pos), dtype=float)
-        dev_weak, dev_strict = dev_weak - ref_vals, dev_strict - ref_vals
-
-    dtot = float(prefix[-1]) - ref_total
+    the tails."""
+    dtot = float(dtot)
     # the tails: closed (-inf, inf) and the empty half-line
     best_val, best_k = abs(dtot), -1
     if pos.size:
-        sups = _sweep_sups(
-            dev_weak.max(), dev_weak.min(), dev_strict.max(), dev_strict.min(), dtot
-        )
+        last = np.ones(pos.size, dtype=bool)
+        np.not_equal(pos[1:], pos[:-1], out=last[:-1])
+        if not last.all():
+            first = np.concatenate([[True], last[:-1]])
+            pos, weak, strict = pos[first], weak[last], strict[first]
+        sups = _sweep_sups(weak.max(), weak.min(), strict.max(), strict.min(), dtot)
         for k, v in enumerate(sups):
             if v > best_val:
                 best_val, best_k = float(v), k
@@ -374,48 +367,49 @@ def _line_sup(
         return best_val, math.inf, 1
     # orientation +1: closed (-inf, t] and its left limit; orientation -1:
     # closed [t, inf) and its right limit
-    if best_k == 0:
-        devs = dev_weak
-    elif best_k == 1:
-        devs = dev_strict
-    elif best_k == 2:
-        devs = dtot - dev_strict
-    else:
-        devs = dtot - dev_weak
+    devs = (weak, strict, strict, weak)[best_k]
+    if best_k >= 2:
+        devs = dtot - devs
     i = int(np.argmax(np.abs(devs)))
     return best_val, float(pos[i]), 1 if best_k < 2 else -1
 
 
-def _ref_line_sup(
-    xs: np.ndarray, ws: np.ndarray, ref: ReferenceMeasure, u: np.ndarray
-) -> tuple[float, float, int]:
-    """``_line_sup`` of the positions ``xs`` along ``u`` against ``ref``
-    projected on ``u``.  A purely atomic ``ref`` is swept as its atoms: their
-    projections (their own product, as ``_direction_sups`` takes them) follow
-    ``xs`` at weights -mass, against the zero measure."""
-    atoms = ref.atoms()
-    if atoms is None:
-        return _line_sup(xs, ws, lambda s: ref.line_mass(u, s), ref.total_mass)
-    atom_pts, masses = atoms
-    return _line_sup(np.concatenate([xs, atom_pts @ u]), np.concatenate([ws, -masses]))
+def _ref_line_sup(xs, ws, ref: ReferenceMeasure | None, u) -> tuple[float, float, int]:
+    """Exact sup over closed half-lines of |emp - ref| along ``u``, both
+    orientations and both one-sided limits, as (value, threshold,
+    orientation): positions ``xs`` at signed weights ``ws`` against ``ref``
+    projected on ``u`` (``None`` is the zero measure), as the one-row block
+    of ``_block_sort``.  A purely atomic ``ref`` is swept as its atoms:
+    their projections (their own product, as ``_direction_sups`` takes
+    them) follow ``xs`` at weights -mass, against zero.  An atomless ``ref``
+    gives its masses at the sorted positions, those of (-inf, x] and of
+    (-inf, x) alike."""
+    atoms = None if ref is None else ref.atoms()
+    if atoms is not None:
+        xs, ws = np.concatenate([xs, atoms[0] @ u]), np.concatenate([ws, -atoms[1]])
+    pos, _, prefix = _block_sort(xs[None], ws[None])
+    pos, prefix = pos[0], prefix[0]
+    weak, strict, dtot = prefix[1:], prefix[:-1], prefix[-1]
+    if ref is not None and atoms is None:
+        masses = np.asarray(ref.line_mass(u, pos), dtype=float)
+        weak, strict, dtot = weak - masses, strict - masses, dtot - ref.total_mass
+    return _locate(pos, weak, strict, dtot)
 
 
-def halfline_sup_weighted(
-    points, weights, ref: ReferenceMeasure | None = None
-) -> float:
-    """Half-line sup deviation from flat one-dimensional points and weights.
+def halfline_sup_weighted(points, weights, ref: ReferenceMeasure | None = None) -> float:
+    """Half-line sup deviation of one sample given as flat one-dimensional
+    points and weights, without building a ``Sample``.
 
-    The fast entry point for simulation loops: no pattern objects are built.
     ``weights`` is the per-point mass (1/n for plain samples, s_i/n for
-    sign-randomized ones); ``ref = None`` means the zero measure.
+    sign-randomized ones); ``ref = None`` means the zero measure.  Blocks of
+    samples go to ``halfline_sup_rows``, which gives this value on each.
     """
     xs = np.asarray(points, dtype=float).ravel()
     ws = np.asarray(weights, dtype=float).ravel()
     if ws.shape != xs.shape:
         raise ValueError("one weight per point required")
-    if ref is None:
-        return _line_sup(xs, ws)[0]
-    _check_line_ref(ref)
+    if ref is not None:
+        _check_line_ref(ref)
     return _ref_line_sup(xs, ws, ref, np.array([1.0]))[0]
 
 
@@ -507,25 +501,12 @@ def _pad_rows(flat, rows: np.ndarray, width: int, fill: float, tail: np.ndarray)
 
 def _signed_row_sups(xs: np.ndarray, ws: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` the half-line sup of each row of positions ``xs``
-    with signed weights ``ws`` against the zero measure: ``_line_sup``'s
-    value, bit for bit.
-
-    Rows are sorted as ``_line_sup`` sorts: the default argsort, and the
-    stable one for rows with tied positions, so each prefix sum adds the
-    same weights in the same order.  (The +inf padding ties too, but its
-    weights are all 0.)  Signed prefix sums are not monotone inside a tie
-    group, so only the group's own masses are candidates: the weak one at
-    the group's last point and the strict one at its first.
+    with signed weights ``ws`` against the zero measure: ``_ref_line_sup``'s
+    value, bit for bit.  Rows are sorted by ``_block_sort``, and as in
+    ``_locate`` only each tie group's own masses are candidates: the weak
+    one at the group's last point and the strict one at its first.
     """
-    order = np.argsort(xs, axis=1)
-    sorted_xs = np.take_along_axis(xs, order, axis=1)
-    last = np.ones(xs.shape, dtype=bool)
-    np.not_equal(sorted_xs[:, 1:], sorted_xs[:, :-1], out=last[:, :-1])
-    tied = (~last[:, :-1] & (sorted_xs[:, :-1] < np.inf)).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(xs[tied], axis=1, kind="stable")
-    prefix = np.zeros((xs.shape[0], xs.shape[1] + 1))
-    np.cumsum(np.take_along_axis(ws, order, axis=1), axis=1, out=prefix[:, 1:])
+    _, last, prefix = _block_sort(xs, ws)
     first = np.ones(xs.shape, dtype=bool)
     first[:, 1:] = last[:, :-1]
     weak = prefix[:, 1:]
@@ -661,11 +642,12 @@ def _directional_sup(
 ) -> tuple[float, HalfSpaceIndicator]:
     """The largest ``_ref_line_sup`` over the directions ``dirs`` and its
     half-space.  Every direction is valued in blocks (``_direction_sups``),
-    and only the first one that attains the maximum is swept again, to
-    locate the boundary.  Against an atomless reference that sweep reads
-    the masses its block computed: ``line_mass`` is elementwise in s, and
-    one direction is the one-row block, so they are the bytes a new call
-    would give, also at tied projections."""
+    and only the first one that attains the maximum is located again.
+    Against an atomless reference ``_locate`` reads the sorted row and the
+    masses its block computed: ``line_mass`` is elementwise in s, and one
+    direction is the one-row block, so they are the bytes a new sweep would
+    give, also at tied projections.  Against atoms the direction is swept
+    again."""
     pts = sample.all_points()
     ws = np.full(pts.shape[0], 1.0 / sample.n)
     kept = {}
@@ -673,8 +655,9 @@ def _directional_sup(
     u = dirs[i]
     if i in kept:
         row, masses = kept[i]
-        value, t, orient = _line_sup(
-            row, ws, lambda pos: masses[np.searchsorted(row, pos)], ref.total_mass
+        prefix = _prefix(ws)
+        value, t, orient = _locate(
+            row, prefix[1:] - masses, prefix[:-1] - masses, prefix[-1] - ref.total_mass
         )
     else:
         value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)

@@ -9,6 +9,7 @@ exceedance frequencies on seeded replicates.
 """
 
 import glob
+import hashlib
 import json
 import math
 import os
@@ -505,11 +506,29 @@ class TestCriterion9Symmetrization:
         assert elapsed < 60.0
 
 
+# sha256 of every shipped config's .csv and .ndjson outputs at one worker;
+# the .meta.json files carry library versions and are left out.
+PINNED_OUTPUTS = {
+    "bound/bound.csv": "7ba052af22bb81f8622702dc67b3c6229faeebc2ae65eec36fea30adb4834c84",
+    "bound/bound_table.csv": "1f8cd9ecc5f4d6f1ab0c7c133e7aaa60bd4f0aab331dc74ba187c6174dcd2d21",
+    "brw/brw.csv": "bf7e3e97da7905f1d9f5e599bf30101de9fdabbf870b1e202616fe32868ce46c",
+    "clt/clt.csv": "7d13ab5b6619ba3125da8f688ba5340b49ffffc25f04b6e100cdf19de83a3d5b",
+    "depth/depth.csv": "8e327fb30df890d60693968cf12ef040adde14d4cb62ae8ba7d99da933943f96",
+    "diag/diag.csv": "9403553085d0b10ed6fe32d9950060ebf41d7ce0bc80cfff2219c6654cc9da34",
+    "simulate/simulate.csv": "ed141028348c40236bf33407853aa6d2a7a6e870248b5aab6a1e500f736e686b",
+    "simulate/tree.ndjson": "bcd7fa1ec67fb437dbcedbab72d43029d6934bd8a15dcb86a1be5138838438c2",
+    "ulln/ulln.csv": "b71d2a873b1c1b9c5a5bfa7719b2dc760ab14f96bb347e85d78e072ec8164fa4",
+}
+
+
 class TestCriterion10Determinism:
     def test_every_shipped_config_is_thread_invariant(self, tmp_path):
+        """Every shipped config writes the same bytes at 1, 4 and 8 workers,
+        and its data files at one worker hash to ``PINNED_OUTPUTS``, so a
+        change that moves any output shows here."""
         configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
         assert configs, "no shipped configs found"
-        mismatched = []
+        mismatched, digests = [], {}
         for config_path in configs:
             kind = os.path.splitext(os.path.basename(config_path))[0]
             outputs = {}
@@ -534,6 +553,12 @@ class TestCriterion10Determinism:
                 outputs[threads] = blobs
             if not (outputs[1] == outputs[4] == outputs[8]):
                 mismatched.append(kind)
-        report(10, "byte-identical across worker counts", not mismatched,
-               f"{len(configs)} configs")
+            for name, blob in outputs[1].items():
+                if name.endswith((".csv", ".ndjson")):
+                    digests[f"{kind}/{name}"] = hashlib.sha256(blob).hexdigest()
+        moved = sorted(k for k in PINNED_OUTPUTS.keys() | digests.keys()
+                       if PINNED_OUTPUTS.get(k) != digests.get(k))
+        report(10, "byte-identical across worker counts and to the pinned digests",
+               not mismatched and not moved, f"{len(configs)} configs")
         assert not mismatched, mismatched
+        assert not moved, moved

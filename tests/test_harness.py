@@ -346,6 +346,15 @@ class TestRunners:
         ``halfline_sup_weighted`` per replicate and kind, over several
         replicate blocks and worker processes."""
         config = build_config(base_config(kind="diag", epsilon_grid=[0.5], **overrides))
+        shared, devs, syms = self._diag_per_replicate(config)
+        got_devs, got_syms = _over_replicates(_diag_block, shared, config, threads)
+        assert got_devs.tobytes() == devs.tobytes()
+        assert got_syms.tobytes() == syms.tobytes()
+
+    @staticmethod
+    def _diag_per_replicate(config):
+        """The diag block's arguments, and one ``halfline_sup_weighted`` per
+        replicate and kind: the deviations and the Rademacher-signed sups."""
         ref = reference_for(config.count, config.disp)
         n = config.n_grid[0]
         devs, syms = [], []
@@ -355,10 +364,29 @@ class TestRunners:
             devs.append(halfline_sup_weighted(pts[:, 0], np.full(pts.shape[0], 1.0 / n), ref))
             signs = gen.choice(np.array([-1.0, 1.0]), size=n)
             syms.append(halfline_sup_weighted(pts[:, 0], np.repeat(signs / n, sizes), None))
-        shared = (config.count, config.disp, ref, n, config.seed)
-        got_devs, got_syms = _over_replicates(_diag_block, shared, config, threads)
-        assert got_devs.tobytes() == np.array(devs).tobytes()
-        assert got_syms.tobytes() == np.array(syms).tobytes()
+        return (config.count, config.disp, ref, n, config.seed), np.array(devs), np.array(syms)
+
+    @pytest.mark.parametrize("cap", [40, 200])
+    def test_diag_block_sweeps_at_most_the_buffer(self, monkeypatch, cap):
+        """Each ``halfline_sup_rows`` call of the diag block sweeps at most
+        ``_SWEEP_POINTS`` points, or one larger draw, so a block of long
+        samples is never held whole, and the values stay bit for bit one
+        sweep per replicate and kind."""
+        monkeypatch.setattr(runners, "_SWEEP_POINTS", cap)
+        points = []
+        sweep = runners.halfline_sup_rows
+        monkeypatch.setattr(runners, "halfline_sup_rows",
+                            lambda xs, sizes, *a: points.append(list(sizes)) or sweep(xs, sizes, *a))
+        config = build_config(base_config(
+            kind="diag", epsilon_grid=[0.5], count={"kind": "shifted_poisson", "lambda": 1.0},
+            n_grid=[12], replicates=30))
+        shared, devs, syms = self._diag_per_replicate(config)
+        got_devs, got_syms = _diag_block(shared, 0, config.replicates)
+        assert got_devs.tobytes() == devs.tobytes()
+        assert got_syms.tobytes() == syms.tobytes()
+        assert len(points) > 2 * 2  # several runs, two sweeps each
+        assert all(sum(sizes) <= cap or len(sizes) == 1 for sizes in points)
+        assert sum(len(sizes) for sizes in points) == 2 * config.replicates
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("cap", [None, 40], ids=["one-join", "several-joins"])
@@ -530,6 +558,23 @@ class TestCli:
         assert cli_main(["ulln", "--config", cfg, "--out", out_dir]) == 0
         assert os.path.exists(os.path.join(out_dir, "ulln.csv"))
         assert os.path.exists(os.path.join(out_dir, "ulln.csv.meta.json"))
+
+    def test_zero_mean_deviation_writes_no_slope(self, tmp_path, capsys):
+        """A one-atom law under fixed count 1 gives mean deviation exactly 0
+        at every n, whose log is not finite: ``ulln`` exits 0 and writes no
+        ``loglog_slope`` row, as ``depth`` does, and no NaN or warning."""
+        cfg = self._write(tmp_path, base_config(
+            disp={"kind": "discrete", "points": [[0.5]], "weights": [1.0]},
+            n_grid=[4, 8], replicates=3))
+        out_dir = tmp_path / "out"
+        assert cli_main(["ulln", "--config", cfg, "--out", str(out_dir)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        rows = (out_dir / "ulln.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        cells = [r.split(",") for r in rows[1:]]
+        assert cells and not any("loglog_slope" in r for r in rows)
+        values = [c[header.index(col)] for c in cells for col in ("value", "stderr")]
+        assert all(math.isfinite(float(v)) for v in values if v)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, base_config(n_grid=[]))

@@ -38,7 +38,6 @@ from ppdepth import measure
 from ppdepth.measure import (
     _direction_sups,
     _directional_sup,
-    _line_sup,
     _pair_normal_directions,
     _ref_line_sup,
     halfline_sup_rows,
@@ -455,6 +454,12 @@ class TestSupDeviationOtherClasses:
             sup_deviation(s, half_lines(), ref)
 
 
+def _oracle_line_sup(xs, ws, ref, u):
+    """The test oracle with ``_ref_line_sup``'s arguments and result: the
+    positions ``xs`` at weights ``ws`` against ``ref`` projected on ``u``."""
+    return _reference_sweep(*_sweep_args(xs, ws, ref, u))
+
+
 DISCRETE_2D = DiscretePoints(
     [[0.0, 0.0], [0.25, 0.5], [0.5, 0.25], [1.0, 1.0], [0.75, 0.0]],
     [0.1, 0.2, 0.3, 0.25, 0.15],
@@ -464,7 +469,10 @@ DISCRETE_2D = DiscretePoints(
 class TestBlockedDirectionalSup:
     """The planar sup sweeps blocks of directions at once, against atomless
     and purely atomic references alike; value, boundary point and direction
-    equal those of the one-direction-at-a-time loop below, ties included."""
+    equal those of the one-direction-at-a-time loop below, ties included.
+    The loop sweeps each direction with the one-row block ``_ref_line_sup``
+    and checks its value, threshold and orientation against the test oracle
+    ``_oracle_line_sup``."""
 
     @staticmethod
     def _loop(sample, ref):
@@ -475,6 +483,7 @@ class TestBlockedDirectionalSup:
         best = (-1.0, None, None, None)
         for u in _pair_normal_directions(critical):
             value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
+            assert _oracle_line_sup(pts @ u, ws, ref, u) == (value, t, orient)
             if value > best[0]:
                 best = (value, u, t, orient)
         value, u, t, orient = best
@@ -499,8 +508,9 @@ class TestBlockedDirectionalSup:
         pts = disp.sample(np.random.default_rng(67), 50)
         ws = np.full(50, 1.0 / 50)
         dirs = measure._sphere_directions(disp.dim, 64)
-        want = np.array([_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs])
-        assert _direction_sups(pts, ws, ref, dirs).tobytes() == want.tobytes()
+        got = _direction_sups(pts, ws, ref, dirs).tobytes()
+        for sweep in (_ref_line_sup, _oracle_line_sup):
+            assert got == np.array([sweep(pts @ u, ws, ref, u)[0] for u in dirs]).tobytes()
 
     @pytest.mark.parametrize("m", [4, 8, 40])
     @pytest.mark.parametrize("disp", [
@@ -552,9 +562,9 @@ class TestBlockedDirectionalSup:
             atoms = ref.atoms()
             width = pts.shape[0] + (0 if atoms is None else len(atoms[1]))
             assert len(dirs) > (1 << 15) // width
-            got = _direction_sups(pts, ws, ref, dirs)
-            want = [_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
-            assert got.tolist() == want
+            got = _direction_sups(pts, ws, ref, dirs).tolist()
+            assert got == [_ref_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
+            assert got == [_oracle_line_sup(pts @ u, ws, ref, u)[0] for u in dirs]
 
     def test_ties_at_the_maximum_sweep_once(self, monkeypatch):
         """The 40 + 40 uniform two-sample case ties the maximum 0.225 at
@@ -574,8 +584,11 @@ class TestBlockedDirectionalSup:
         assert len(calls) == 1
         u = dirs[int(np.argmax(vals))]
         value, t, orient = sweep(pts @ u, ws, ref, u)
+        assert _oracle_line_sup(pts @ u, ws, ref, u) == (value, t, orient)
         assert res.value == vals.max() == value
-        assert res.argmax.direction.tobytes() == HalfSpaceIndicator(t * u, orient * u).direction.tobytes()
+        want = HalfSpaceIndicator(t * u, orient * u)
+        assert res.argmax.point.tobytes() == want.point.tobytes()
+        assert res.argmax.direction.tobytes() == want.direction.tobytes()
 
     @pytest.mark.parametrize("chunk", [1 << 14, 8])
     @pytest.mark.parametrize("case", ["box", "gaussian", "lattice-box", "three-blocks"])
@@ -605,6 +618,7 @@ class TestBlockedDirectionalSup:
         vals = _direction_sups(pts, ws, ref, dirs)
         u = dirs[int(np.argmax(vals))]
         value, t, orient = _ref_line_sup(pts @ u, ws, ref, u)
+        assert _oracle_line_sup(pts @ u, ws, ref, u) == (value, t, orient)
         want = HalfSpaceIndicator(t * u, orient * u)
         assert res.value == value == vals.max()
         assert res.argmax.point.tobytes() == want.point.tobytes()
@@ -692,7 +706,8 @@ class TestBatchedSweep:
     def test_rows_match_single_sample_path(self):
         """Row i of the batched sweep is ``sup_deviation`` on sample i, bit
         for bit: continuous and tied rows, counts 2 and 3, uniform and
-        Gaussian references."""
+        Gaussian references.  The oracle gives the same value, threshold and
+        orientation."""
         rng = np.random.default_rng(50)
         for k, disp in ((2, UNIFORM01), (3, DiagonalGaussian([0.3], [0.2]))):
             ref = reference_for(FixedCount(k), disp)
@@ -703,7 +718,10 @@ class TestBatchedSweep:
                 batch = halfline_sup_rows(rows.ravel(), np.full(40, 7 * k), 1.0 / 7, ref)
                 for i, row in enumerate(rows):
                     s = Sample(tuple(PointPattern(p[:, None]) for p in row.reshape(7, k)))
-                    assert batch[i] == sup_deviation(s, half_lines(), ref).value
+                    res = sup_deviation(s, half_lines(), ref)
+                    want = _reference_sweep(*_sweep_args(row, np.full(row.size, 1.0 / 7), ref))
+                    assert (res.value, res.argmax.threshold, res.argmax.orientation) == want
+                    assert batch[i] == res.value
 
     def test_weighted_flat_matches_sample_path(self):
         rng = np.random.default_rng(51)
@@ -712,13 +730,16 @@ class TestBatchedSweep:
         pts = rng.uniform(0, 1, size=(int(sizes.sum()), 1))
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         s = Sample(tuple(PointPattern(pts[offsets[i]:offsets[i + 1]]) for i in range(9)))
-        flat = halfline_sup_weighted(pts[:, 0], np.full(pts.shape[0], 1 / 9), ref)
+        ws = np.full(pts.shape[0], 1 / 9)
+        flat = halfline_sup_weighted(pts[:, 0], ws, ref)
         assert flat == sup_deviation(s, half_lines(), ref).value
+        assert flat == _reference_sweep(*_sweep_args(pts[:, 0], ws, ref))[0]
 
     def test_batch_sweeps_atomic_reference(self):
         """An atomic reference, once refused by the equal-rows sweep, is
         swept as its atoms: row i is ``sup_deviation`` on sample i, bit for
-        bit, on tied and untied rows."""
+        bit, on tied and untied rows, with the oracle's value, threshold and
+        orientation."""
         rng = np.random.default_rng(53)
         law = DiscretePoints([[0.0], [0.25], [0.5]], [0.5, 0.3, 0.2])
         for ref in (reference_for(FixedCount(1), DiscretePoints([[0.0]], [1.0])),
@@ -728,7 +749,10 @@ class TestBatchedSweep:
             batch = halfline_sup_rows(rows.ravel(), np.full(60, 6), 1.0 / 6, ref)
             for i, row in enumerate(rows):
                 s = Sample(row[:, None], np.ones(6, dtype=np.int64))
-                assert batch[i] == sup_deviation(s, half_lines(), ref).value
+                res = sup_deviation(s, half_lines(), ref)
+                want = _reference_sweep(*_sweep_args(row, np.full(6, 1.0 / 6), ref))
+                assert (res.value, res.argmax.threshold, res.argmax.orientation) == want
+                assert batch[i] == res.value
 
     def test_array_weight_against_atomless_reference_is_refused(self):
         """Against an atomless reference every point carries one positive
@@ -744,6 +768,7 @@ class TestBatchedSweep:
         for other in (None, atomic):
             got = halfline_sup_rows(xs, [3], np.full(3, 1.0 / 3), other)
             assert got.tobytes() == halfline_sup_rows(xs, [3], 1.0 / 3, other).tobytes()
+            assert got[0] == _reference_sweep(*_sweep_args(xs, np.full(3, 1.0 / 3), other))[0]
 
     @pytest.mark.parametrize("disp", [
         UniformBox([0.0, 0.0], [1.0, 1.0]),
@@ -767,9 +792,10 @@ class TestBatchedSweep:
 
 class TestRaggedSweep:
     """``halfline_sup_rows`` on samples of unequal sizes equals
-    ``halfline_sup_weighted`` on every sample, bit for bit, against atomless
-    and atomic references with the scalar weight 1/n, and against the zero
-    measure and an atomic reference with signed weights."""
+    ``halfline_sup_weighted`` and the test oracle on every sample, bit for
+    bit, against atomless and atomic references with the scalar weight 1/n,
+    and against the zero measure and an atomic reference with signed
+    weights."""
 
     ATOMIC = reference_for(
         ShiftedPoisson(0.5), DiscretePoints([[0.1], [0.3], [0.5], [1.0]], [0.1, 0.4, 0.3, 0.2])
@@ -781,17 +807,18 @@ class TestRaggedSweep:
     )
 
     @staticmethod
-    def _per_sample(xs, sizes, ws, ref):
+    def _per_sample(xs, sizes, ws, sweep):
         ws = np.broadcast_to(ws, xs.shape)
         ends = np.cumsum(sizes)
-        return np.array([
-            halfline_sup_weighted(xs[e - k : e], ws[e - k : e], ref)
-            for e, k in zip(ends, sizes)
-        ])
+        return np.array([sweep(xs[e - k : e], ws[e - k : e]) for e, k in zip(ends, sizes)])
 
     def _check(self, xs, sizes, ws, ref):
-        got = halfline_sup_rows(xs, sizes, ws, ref)
-        assert got.tobytes() == self._per_sample(xs, sizes, ws, ref).tobytes()
+        got = halfline_sup_rows(xs, sizes, ws, ref).tobytes()
+        one_row = self._per_sample(xs, sizes, ws, lambda x, w: halfline_sup_weighted(x, w, ref))
+        oracle = self._per_sample(
+            xs, sizes, ws, lambda x, w: _reference_sweep(*_sweep_args(x, w, ref))[0]
+        )
+        assert got == one_row.tobytes() == oracle.tobytes()
 
     @staticmethod
     def _draw(rng, b, n, tied=False):
@@ -910,10 +937,10 @@ class TestRaggedSweep:
             halfline_sup_rows(xs, [3], np.full(2, 0.5), None)
 
 
-def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
+def _plain_sweep(xs, ws, ref_weak, ref_strict, ref_total, extra_positions=None):
     """The half-line sweep in its plainest form: stable argsort, the
     leading-zero prefix sums of the weights, then one full abs/argmax pass
-    per candidate.  The oracle for ``_line_sup``."""
+    per candidate.  The oracle for every half-line sweep."""
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
     prefix = np.concatenate([[0.0], np.cumsum(ws[order])])
@@ -948,23 +975,25 @@ def _line_sup_reference(xs, ws, ref_weak, ref_strict, ref_total, extra_positions
 
 
 def _rows_reference(rows, n, ref):
-    """The batched sweep as a row loop over ``_line_sup_reference``."""
+    """The batched sweep as a row loop over the oracle."""
     ws = np.full(rows.shape[1], 1.0 / n)
     return np.array([_reference_sweep(*_sweep_args(row, ws, ref))[0] for row in rows])
 
 
-def _sweep_args(xs, ws, ref):
-    """``_line_sup``'s arguments for positions ``xs`` at weights ``ws``
-    against ``ref`` on the real line: an atomless reference's mass and total
-    mass, the zero measure for ``ref = None``, and, for a purely atomic
-    reference, the signed rows: its atoms after ``xs`` at weights -mass,
-    against the zero measure."""
+def _sweep_args(xs, ws, ref, u=None):
+    """``_reference_sweep``'s arguments for positions ``xs`` at weights
+    ``ws`` against ``ref`` projected on ``u`` (default: the real line): an
+    atomless reference's mass and total mass, the zero measure for ``ref =
+    None``, and, for a purely atomic reference, the signed rows: its
+    projected atoms after ``xs`` at weights -mass, against the zero
+    measure."""
+    u = np.array([1.0]) if u is None else u
     if ref is None:
         return xs, ws, None, 0.0
     atoms = ref.atoms()
     if atoms is None:
-        return xs, ws, lambda s: ref.line_mass(np.array([1.0]), s), ref.total_mass
-    return np.concatenate([xs, atoms[0][:, 0]]), np.concatenate([ws, -atoms[1]]), None, 0.0
+        return xs, ws, lambda s: ref.line_mass(u, s), ref.total_mass
+    return np.concatenate([xs, atoms[0] @ u]), np.concatenate([ws, -atoms[1]]), None, 0.0
 
 
 def _zero_mass(s):
@@ -972,12 +1001,13 @@ def _zero_mass(s):
 
 
 def _reference_sweep(xs, ws, ref_mass, ref_total):
-    """``_line_sup_reference`` on ``_line_sup``'s arguments."""
-    return _line_sup_reference(xs, ws, ref_mass or _zero_mass, None, ref_total)
+    """``_plain_sweep`` on ``_sweep_args``: the oracle of one sample's
+    (value, threshold, orientation) against ``ref``."""
+    return _plain_sweep(xs, ws, ref_mass or _zero_mass, None, ref_total)
 
 
 def _strict_mass_args(ref):
-    """``_line_sup_reference``'s arguments for an atomic ``ref`` in the
+    """``_plain_sweep``'s arguments for an atomic ``ref`` in the
     strict-mass formulation: the reference's masses of (-inf, s] and of
     (-inf, s), its declared total mass, and its atoms as extra positions."""
     u = np.array([1.0])
@@ -1022,11 +1052,13 @@ class TestSweepKernelExact:
                     yield xs, ws
 
     def test_line_sup_matches_reference(self):
+        """The one-row sweep ``_ref_line_sup``, which sorts its row as one
+        block, equals the oracle's (value, threshold, orientation)."""
         cases = 0
         for xs, ws in self._cases():
             for ref in self.REFS:
-                args = _sweep_args(xs.copy(), ws.copy(), ref)
-                assert _line_sup(*args) == _reference_sweep(*args)
+                got = _ref_line_sup(xs.copy(), ws.copy(), ref, np.array([1.0]))
+                assert got == _reference_sweep(*_sweep_args(xs.copy(), ws.copy(), ref))
                 cases += 1
         assert cases >= 2000
 
@@ -1039,8 +1071,8 @@ class TestSweepKernelExact:
         atomic = [ref for ref in self.REFS if ref is not None and ref.atoms() is not None]
         for xs, ws in self._cases():
             for ref in atomic:
-                got = _line_sup(*_sweep_args(xs, ws, ref))[0]
-                want = _line_sup_reference(xs, ws, *_strict_mass_args(ref))[0]
+                got = _ref_line_sup(xs, ws, ref, np.array([1.0]))[0]
+                want = _plain_sweep(xs, ws, *_strict_mass_args(ref))[0]
                 assert got == pytest.approx(want, rel=0, abs=1e-13)
 
     def test_public_entry_points_match_reference(self):
