@@ -13,7 +13,9 @@ provided.  The generation estimator averages the child patterns over one
 generation V_j; with f = 1 it reduces to |V_{j+1}| / |V_j|, the classical
 ratio estimator of the mean of a supercritical branching process.  The
 cumulative estimator averages over all first T_j = |V_0| + ... + |V_j|
-vertices in breadth-first order.
+vertices in breadth-first order.  Both are read from one rule,
+``estimate_table``, over the correctly rounded generation sums of
+``exact_sum``.
 """
 
 from __future__ import annotations
@@ -137,13 +139,13 @@ class BrwTree:
         return j, i
 
     def step_segments(self, last: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The first displacement coordinate of generations 1 .. ``last``
-        (default J), concatenated, and the start of each generation in it:
-        the ``values, starts`` of one ``exact_sum`` call per tree."""
+        """The displacement rows of generations 1 .. ``last`` (default J),
+        concatenated, and the start of each generation in them: the
+        ``values, starts`` layout of one ``exact_sum`` call per tree."""
         last = self.generations if last is None else last
-        steps = np.concatenate([d[:, 0] for d in self.disp[1 : last + 1]])
+        rows = np.concatenate(self.disp[1 : last + 1])
         starts = np.cumsum([0] + [d.shape[0] for d in self.disp[1:last]])
-        return steps, starts
+        return rows, starts
 
 
 def grow_tree(
@@ -200,16 +202,21 @@ def _check_generation(tree: BrwTree, j: int) -> None:
 
 def lotka_nagaev(tree: BrwTree, j: int, f: EvalFunction) -> float:
     """Generation estimator: the average of Y_v(f) over v in V_j."""
-    _check_generation(tree, j)
-    return float(f.evaluate(tree.disp[j + 1]).sum() / tree.size(j))
+    return _estimates(tree, j, f.evaluate)[0]
 
 
 def harris(tree: BrwTree, j: int, f: EvalFunction) -> float:
     """Cumulative estimator: the average of Y_v(f) over the first T_j
     breadth-first vertices (generations 0 .. j)."""
+    return _estimates(tree, j, f.evaluate)[1]
+
+
+def _estimates(tree: BrwTree, j: int, values) -> tuple[float, float]:
+    """Both estimators at generation j of f, given by ``values(rows)``."""
     _check_generation(tree, j)
-    sums = [float(f.evaluate(tree.disp[l]).sum()) for l in range(1, j + 2)]
-    return cumulative_estimates(tree, sums)[-1]
+    rows, starts = tree.step_segments(j + 1)
+    hat, tilde = estimate_table(tree, exact_sum(values(rows), starts))
+    return hat[j], tilde[j]
 
 
 # Limb width of the exact sum: a limb digit is an integer below 2^26 in
@@ -275,34 +282,33 @@ def _limb_sums(scaled: np.ndarray, starts: np.ndarray, shift: int) -> np.ndarray
     return np.array(out)
 
 
-def cumulative_estimates(tree: BrwTree, gen_sums) -> list[float]:
-    """The cumulative estimate for j = 0, 1, ... from the per-generation sums
-    ``gen_sums[l]`` = sum of f over V_{l+1}: the exact sum of
-    ``gen_sums[: j + 1]`` divided by T_j, rounded once.  The exact sum is
-    kept as the integer ``total`` in units of 2^-scale, the finest unit of
-    the floats added so far."""
-    out, total, scale, t_j = [], 0, 0, 0
-    for j, value in enumerate(gen_sums):
-        num, den = float(value).as_integer_ratio()  # den = 2^k
+def estimate_table(tree: BrwTree, gen_sums) -> tuple[list[float], list[float]]:
+    """Both estimators for j = 0, 1, ... from the correctly rounded
+    per-generation sums ``gen_sums[j]`` of f over V_{j+1}: the generation
+    estimate gen_sums[j] / |V_j|, and the cumulative estimate, the exact sum
+    of ``gen_sums[: j + 1]`` divided by T_j and rounded once.  The exact sum
+    is kept as the integer ``total`` in units of 2^-scale, the finest unit
+    of the floats added so far."""
+    hat, tilde, total, scale, t_j = [], [], 0, 0, 0
+    for j, value in enumerate(np.asarray(gen_sums, dtype=float).tolist()):
+        num, den = value.as_integer_ratio()  # den = 2^k
         k = den.bit_length() - 1
         if k > scale:
             total <<= k - scale
             scale = k
         total += num << (scale - k)
-        t_j += tree.size(j)
-        out.append(total / (t_j << scale))
-    return out
+        size = tree.size(j)
+        t_j += size
+        hat.append(value / size)
+        tilde.append(total / (t_j << scale))
+    return hat, tilde
 
 
 def laplace_estimates(tree: BrwTree, j: int, theta: float) -> tuple[float, float]:
     """Both estimators applied to f = e^{theta x} (one-dimensional trees)."""
     if tree.dim != 1:
         raise ValueError("Laplace transforms need one-dimensional displacements")
-    _check_generation(tree, j)
-    steps, starts = tree.step_segments(j + 1)
-    gen_sums = exact_sum(np.exp(theta * steps), starts).tolist()
-    m_hat = gen_sums[-1] / tree.size(j)
-    return m_hat, cumulative_estimates(tree, gen_sums)[-1]
+    return _estimates(tree, j, lambda rows: np.exp(theta * rows[:, 0]))
 
 
 def true_laplace(count: CountLaw, disp: DisplacementLaw, theta: float) -> float:
@@ -325,13 +331,9 @@ def normalized_fluctuations(
     """sqrt(|V_j|) (est_j(f) - mu(f)) per f; with ``cumulative`` the weight is
     sqrt(T_j) and the cumulative estimator is used."""
     _check_generation(tree, j)
-    if cumulative:
-        weight = math.sqrt(tree.cumulative_size(j))
-        estimates = [harris(tree, j, f) for f in fs]
-    else:
-        weight = math.sqrt(tree.size(j))
-        estimates = [lotka_nagaev(tree, j, f) for f in fs]
-    return np.array([weight * (est - ref.mass_of(f)) for est, f in zip(estimates, fs)])
+    estimator = harris if cumulative else lotka_nagaev
+    weight = math.sqrt(tree.cumulative_size(j) if cumulative else tree.size(j))
+    return np.array([weight * (estimator(tree, j, f) - ref.mass_of(f)) for f in fs])
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,9 @@ class ExperimentConfig:
     count: CountLaw
     disp: DisplacementLaw
     function_class: FunctionClass | None
-    n_grid: tuple[int, ...]
-    replicates: int
-    seed: int
+    n_grid: tuple[int, ...] = ()
+    replicates: int = 1
+    seed: int = 0
     threads: int = 1
     epsilon_grid: tuple[float, ...] = ()
     theta_grid: tuple[float, ...] = ()
@@ -369,24 +369,25 @@ def _box(values):
     return None if values is None else _points(values)
 
 
-# JSON key -> (ExperimentConfig field, converter, default)
+# JSON key -> (ExperimentConfig field, converter); a key the config does
+# not hold leaves the field at its ExperimentConfig default
 _FIELDS = {
-    "n_grid": ("n_grid", _ints, ()),
-    "replicates": ("replicates", _int, 1),
-    "seed": ("seed", _int, 0),
-    "threads": ("threads", _int, 1),
-    "epsilon_grid": ("epsilon_grid", _floats, ()),
-    "theta_grid": ("theta_grid", _floats, ()),
-    "j_grid": ("j_grid", _ints, ()),
-    "alpha": ("alpha", float, 1.01),
-    "beta": ("beta", float, 1.01),
-    "eval_points": ("eval_points", _points, ()),
-    "depth_box": ("depth_box", _box, None),
-    "gt_draws": ("gt_draws", _int, 1_000_000),
-    "fluct_theta": ("fluct_theta", float, 1.0),
-    "target": ("target", str, "sample"),
-    "generations": ("generations", _int, 6),
-    "format": ("out_format", str, "csv"),
+    "n_grid": ("n_grid", _ints),
+    "replicates": ("replicates", _int),
+    "seed": ("seed", _int),
+    "threads": ("threads", _int),
+    "epsilon_grid": ("epsilon_grid", _floats),
+    "theta_grid": ("theta_grid", _floats),
+    "j_grid": ("j_grid", _ints),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "eval_points": ("eval_points", _points),
+    "depth_box": ("depth_box", _box),
+    "gt_draws": ("gt_draws", _int),
+    "fluct_theta": ("fluct_theta", float),
+    "target": ("target", str),
+    "generations": ("generations", _int),
+    "format": ("out_format", str),
 }
 
 # The top-level keys a config may carry.  ``depth_grid`` is retired (deepest
@@ -412,9 +413,11 @@ def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config is missing the {exc.args[0]!r} section") from exc
     cls = parse_class(raw["function_class"]) if "function_class" in raw else None
     values = {}
-    for key, (name, convert, default) in _FIELDS.items():
+    for key, (name, convert) in _FIELDS.items():
+        if key not in raw:
+            continue
         try:
-            values[name] = convert(raw.get(key, default))
+            values[name] = convert(raw[key])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed {key} {raw[key]!r}: {exc}") from exc
     return ExperimentConfig(effective_kind, count, disp, cls, raw=raw, **values)

@@ -26,11 +26,12 @@ from ..bounds import (
     chernoff_tail,
     deviation_bound,
 )
-from ..branching import cumulative_estimates, exact_sum, grow_tree, true_laplace
+from ..branching import estimate_table, exact_sum, grow_tree, true_laplace
 from ..depth import deepest_point, depth_sup_deviation
 from ..functions import Exponential, half_spaces
 from ..generators import (
     CountLaw,
+    DiagonalGaussian,
     DisplacementLaw,
     RngStream,
     UniformBox,
@@ -417,15 +418,19 @@ def _depth_block(shared, lo: int, hi: int):
     return dev_rows, sup_rows, deepest
 
 
+def _search_box(disp: DisplacementLaw):
+    """The default depth box: a uniform law's support, else the bounding box
+    of a Gaussian's mean or of a discrete law's atoms, widened by 3."""
+    if isinstance(disp, UniformBox):
+        return tuple(disp.low), tuple(disp.high)
+    points = disp.mean[None] if isinstance(disp, DiagonalGaussian) else disp.atoms()[0]
+    return tuple(points.min(axis=0) - 3.0), tuple(points.max(axis=0) + 3.0)
+
+
 def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     d = config.disp.dim
     ref = reference_for(config.count, config.disp)
-    box = config.depth_box
-    if box is None:
-        if isinstance(config.disp, UniformBox):
-            box = (tuple(config.disp.low), tuple(config.disp.high))
-        else:
-            box = (tuple([-3.0] * d), tuple([3.0] * d))
+    box = config.depth_box or _search_box(config.disp)
     ref_median, _ = deepest_point(ref, box)
     records: list[ResultRecord] = []
     violations = 0
@@ -472,33 +477,25 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
 
 
 def _brw_block(shared, lo: int, hi: int):
+    """Per tree and distinct theta of the grid and the fluctuation theta, one
+    ``exact_sum`` call and its ``estimate_table``, the estimators' one rule;
+    the block's errors and fluctuation pairs are read from these tables."""
     count, disp, j_grid, thetas, fluct_theta, j_star, generations, m_true, mu_f, seed = shared
-    n_j, n_t = len(j_grid), len(thetas)
-    err_hat = np.empty((hi - lo, n_j, n_t))
-    err_tilde = np.empty((hi - lo, n_j, n_t))
-    w_pair = np.empty((hi - lo, 2))
+    distinct = list(dict.fromkeys((*thetas, fluct_theta)))
+    pair = [j_star + 1, j_star + 2]
+    # [tree, theta, generation or cumulative estimate, j]
+    tables = np.empty((hi - lo, len(distinct), 2, generations))
+    sizes = np.empty((hi - lo, 2))
     for r in range(lo, hi):
         tree = grow_tree(count, disp, generations, RngStream(seed).child("brw", r))
-        steps, starts = tree.step_segments()
-        gen_exp = {}
-
-        def laplace_sums(theta):
-            """Per-generation sums of e^{theta x} and the cumulative estimates."""
-            if theta not in gen_exp:
-                sums = exact_sum(np.exp(theta * steps), starts).tolist()
-                gen_exp[theta] = sums, cumulative_estimates(tree, sums)
-            return gen_exp[theta]
-
-        for a, j in enumerate(j_grid):
-            for b, theta in enumerate(thetas):
-                sums, m_tilde = laplace_sums(theta)
-                m_hat = sums[j] / tree.size(j)
-                err_hat[r - lo, a, b] = abs(m_hat - m_true[b])
-                err_tilde[r - lo, a, b] = abs(m_tilde[j] - m_true[b])
-        sums_f, _ = laplace_sums(fluct_theta)
-        for c, j in enumerate((j_star + 1, j_star + 2)):
-            m_hat = sums_f[j] / tree.size(j)
-            w_pair[r - lo, c] = math.sqrt(tree.size(j)) * (m_hat - mu_f)
+        rows, starts = tree.step_segments()
+        for t, theta in enumerate(distinct):
+            sums = exact_sum(np.exp(theta * rows[:, 0]), starts)
+            tables[r - lo, t] = estimate_table(tree, sums)
+        sizes[r - lo] = [tree.size(j) for j in pair]
+    picked = tables[:, [distinct.index(theta) for theta in thetas]][..., j_grid]
+    err_hat, err_tilde = np.abs(picked.transpose(2, 0, 3, 1) - m_true)  # [tree, j, theta]
+    w_pair = np.sqrt(sizes) * (tables[:, distinct.index(fluct_theta), 0, pair] - mu_f)
     return err_hat, err_tilde, w_pair
 
 
@@ -630,7 +627,6 @@ def run_simulate(config: ExperimentConfig, out_dir, threads: int | None = None) 
         records.append(ResultRecord("generations_written", float(tree.generations)))
         records.append(ResultRecord("vertices_written", float(sum(tree.gen_sizes()))))
     return RunOutput(records, ())
-
 
 
 _RUNNERS = {

@@ -33,7 +33,7 @@ from ppdepth import (
     vertex_pattern,
 )
 from ppdepth import branching
-from ppdepth.branching import BrwTree, cumulative_estimates, exact_sum
+from ppdepth.branching import BrwTree, estimate_table, exact_sum
 
 STEP_ONE = DiscretePoints([[1.0]], [1.0])
 UNIFORM01 = UniformBox([0.0], [1.0])
@@ -253,14 +253,19 @@ class TestExactSum:
             return
         assert exact_sum(np.array(values), starts).tobytes() == expected.tobytes()
 
-    def test_cumulative_estimates_round_the_exact_rational_once(self):
+    def test_estimate_table_rounds_the_exact_rational_once(self):
+        """The generation estimate is S_j / |V_j|, the cumulative one the
+        exact sum S_0 + ... + S_j over T_j, rounded once."""
         tree = grow_tree(FixedCount(2), UNIFORM01, 6, RngStream(3))
         sums = [1.0 + 2.0**-52, 2.0**-1070, 1e300, -1e300, 1 / 3, 0.1]
         total, expected = Fraction(0), []
         for j, value in enumerate(sums):
             total += Fraction(value)
             expected.append(float(total / tree.cumulative_size(j)))
-        assert cumulative_estimates(tree, sums) == expected
+        hat, tilde = estimate_table(tree, sums)
+        assert tilde == expected
+        assert hat == [value / tree.size(j) for j, value in enumerate(sums)]
+        assert estimate_table(tree, np.array(sums)) == (hat, tilde)
 
 
 class TestLaplace:
@@ -290,6 +295,35 @@ class TestLaplace:
             for theta in (-1.0, 0.0, 1.0):
                 _, m_tilde = laplace_estimates(tree, j, theta)
                 assert m_tilde == true_laplace(count, disp, theta), (j, theta)
+
+    def test_estimators_exact_on_deterministic_tree(self):
+        """Generation sums are correctly rounded, so on the binary tree with
+        every step 0.5 both estimators of e^{theta x} are m(theta) bit for
+        bit (a pairwise float sum misses it by up to 3 ulp)."""
+        count, disp = FixedCount(2), DiscretePoints([[0.5]], [1.0])
+        tree = grow_tree(count, disp, 12, RngStream(0))
+        for theta in (-1.0, -0.3, 0.7, 1.0):
+            f = Exponential(theta, (0.0, 1.0))
+            m = true_laplace(count, disp, theta)
+            for j in range(11):
+                assert lotka_nagaev(tree, j, f) == m, (j, theta)
+                assert harris(tree, j, f) == m, (j, theta)
+
+    def test_laplace_estimates_are_the_estimators_of_the_exponential(self):
+        tree = grow_tree(ShiftedPoisson(1.0), UNIFORM01, 6, RngStream(21))
+        for theta in (-1.3, 0.0, 0.4, 2.0):
+            f = Exponential(theta, (0.0, 1.0))
+            for j in range(6):
+                pair = (lotka_nagaev(tree, j, f), harris(tree, j, f))
+                assert laplace_estimates(tree, j, theta) == pair, (j, theta)
+
+    def test_step_segments_lay_out_whole_displacement_rows(self):
+        tree = grow_tree(ShiftedPoisson(1.0), DiagonalGaussian([0.0, 1.0], [1.0, 2.0]), 4,
+                         RngStream(5))
+        rows, starts = tree.step_segments(3)
+        np.testing.assert_array_equal(rows, np.concatenate(tree.disp[1:4]))
+        assert starts.tolist() == [0, tree.size(1), tree.size(1) + tree.size(2)]
+        assert tree.step_segments()[0].shape == (sum(tree.gen_sizes()) - 1, 2)
 
     def test_true_laplace_values(self):
         assert true_laplace(FixedCount(2), UNIFORM01, 0.0) == pytest.approx(2.0)

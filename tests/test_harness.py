@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -27,6 +29,7 @@ from ppdepth import (
 from ppdepth.generators import draw_flat, draw_sample
 from ppdepth.harness import (
     ConfigError,
+    ExperimentConfig,
     ResultRecord,
     build_config,
     config_hash,
@@ -86,6 +89,16 @@ class TestConfigParsing:
         default of the field it misspells."""
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             build_config(base_config(**overrides))
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        """``ExperimentConfig`` holds every default: a config with only its
+        sections builds with each field at its dataclass default."""
+        raw = {"kind": "simulate", "count": {"kind": "fixed", "k": 1},
+               "disp": {"kind": "uniform", "low": [0.0], "high": [1.0]}}
+        cfg = build_config(raw)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("kind", "count", "disp", "function_class", "raw"):
+                assert getattr(cfg, f.name) == f.default, f.name
 
     def test_subcommand_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="does not match"):
@@ -909,6 +922,27 @@ class TestCli:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("disp", [
+        {"kind": "gaussian", "mean": [10.0], "std": [1.0]},
+        {"kind": "discrete", "points": [[9.0], [10.0], [11.0]], "weights": [0.25, 0.5, 0.25]},
+    ], ids=["gaussian", "discrete"])
+    def test_default_depth_box_surrounds_the_law(self, tmp_path, disp):
+        """Without a depth_box the deepest points are searched around the
+        law (a Gaussian's mean +- 3, a discrete law's atoms widened by 3),
+        not in [-3, 3]: a law centred at 10 has its reference median at 10
+        and every sample deepest point has positive depth."""
+        raw = base_config(kind="depth", disp=disp, n_grid=[100], replicates=3,
+                          eval_points=[[10.0]])
+        cfg = self._write(tmp_path, raw)
+        out_dir = tmp_path / "depth"
+        assert cli_main(["depth", "--config", cfg, "--out", str(out_dir)]) == 0
+        with open(out_dir / "depth.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        value = lambda name: [float(r["value"]) for r in rows if r["statistic"] == name]
+        assert value("reference_median_x1") == [10.0]
+        depths = value("deepest_point_depth")
+        assert len(depths) == 3 and min(depths) > 0
+
     def test_depth_batch_mode(self, tmp_path):
         raw = {
             "points": [[1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -997,16 +1031,22 @@ def test_gaussian_runs_leave_scipy_special_unloaded(tmp_path):
     assert not _loaded_after_runs(runs, tmp_path, "scipy.special")
 
 
+def _benchmark_tracing():
+    """The benchmark's tracing module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     """The benchmark's tracer patches ppdepth names (for example
     ``runners.halfline_sup_weighted``, ``runners.halfline_sup_rows``, the one
     block sweep of every one-dimensional study, and
     ``EmpiricalReference.line_mass``):
     it installs on the current tree and puts every original back."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _benchmark_tracing()
     owners = (runners, cli, measure.MixedBinomialReference, measure.EmpiricalReference)
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracing.Tracer()
@@ -1018,3 +1058,24 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_trace_of_brw_counts_sums_and_growth(tmp_path):
+    """Under the benchmark's tracer a brw run makes one ``runners.exact_sum``
+    call per tree and distinct theta (the grid's and the fluctuation theta)
+    and grows its trees through ``runners.grow_tree``."""
+    raw = base_config(kind="brw", count={"kind": "shifted_poisson", "lambda": 1.0},
+                      j_grid=[1, 2], theta_grid=[-0.5, 0.5, 1.0, 0.5], fluct_theta=0.25,
+                      replicates=4)
+    cfg = tmp_path / "brw.json"
+    cfg.write_text(json.dumps(raw))
+    tracer = _benchmark_tracing().Tracer()
+    tracer.install()
+    try:
+        argv = ["brw", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]
+        assert cli_main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["branching.exact_sum_calls"] == 4 * 4  # trees x {-0.5, 0.5, 1.0, 0.25}
+    assert metrics["branching.grow_s"] > 0
