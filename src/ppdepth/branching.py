@@ -329,11 +329,18 @@ def normalized_fluctuations(
     cumulative: bool = False,
 ) -> np.ndarray:
     """sqrt(|V_j|) (est_j(f) - mu(f)) per f; with ``cumulative`` the weight is
-    sqrt(T_j) and the cumulative estimator is used."""
+    sqrt(T_j) and the cumulative estimator is used.  Generations are laid out
+    once, and each f's estimate is read from its ``estimate_table``, bit for
+    bit ``lotka_nagaev`` or ``harris``."""
     _check_generation(tree, j)
-    estimator = harris if cumulative else lotka_nagaev
+    rows, starts = tree.step_segments(j + 1)
+    pick = 1 if cumulative else 0
     weight = math.sqrt(tree.cumulative_size(j) if cumulative else tree.size(j))
-    return np.array([weight * (estimator(tree, j, f) - ref.mass_of(f)) for f in fs])
+    return np.array([
+        weight * (estimate_table(tree, exact_sum(f.evaluate(rows), starts))[pick][j]
+                  - ref.mass_of(f))
+        for f in fs
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ subcommand also accepts a batch-query config (a JSON object with "points",
 running the Monte Carlo experiment.
 
 Exit codes: 0 success, 1 config error, 2 assertion-suite failure (an
-inequality experiment reported violations), 3 I/O error.  PPDEPTH_THREADS
-serves as the fallback for --threads; a worker count below 1 from either is
-a config error.
+inequality experiment reported violations), 3 I/O error.  The worker count
+is --threads, else PPDEPTH_THREADS, else the config's ``threads``; it is
+folded into the config, whose check refuses a count below 1.
 """
 
 from __future__ import annotations
@@ -72,14 +72,12 @@ def main(argv=None) -> int:
 
     try:
         config = build_config(raw, args.command)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         threads = args.threads
         if threads is None:
             env = os.environ.get("PPDEPTH_THREADS")
             threads = int(env) if env else config.threads
-        if threads < 1:
-            raise ConfigError(f"the worker count must be >= 1, not {threads}")
+        seed = config.seed if args.seed is None else args.seed
+        config = dataclasses.replace(config, seed=seed, threads=threads)
         fmt = args.format or config.out_format
     except (ConfigError, ValueError) as exc:
         print(f"ppdepth: {exc}", file=sys.stderr)
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        output = run_experiment(config, threads=threads, out_dir=args.out)
+        output = run_experiment(config, out_dir=args.out)
     except TreeCapError as exc:
         print(f"ppdepth: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,6 @@ import numpy as np
 from ..branching import VERTEX_CAP, expected_vertices, true_laplace
 from ..functions import (
     Constant,
-    EvalFunction,
     Exponential,
     FunctionClass,
     HalfLineIndicator,
@@ -55,49 +54,12 @@ class ConfigError(ValueError):
     pass
 
 
-# The keys besides "kind" that a spec of each kind reads
-_COUNT_KEYS = {
-    "fixed": ("k",),
-    "shifted_poisson": ("lambda",),
-    "pmf": ("probs",),
-    "cox": ("atoms", "log_mean", "log_sigma"),
-}
-_DISP_KEYS = {
-    "uniform": ("low", "high"),
-    "gaussian": ("mean", "std"),
-    "discrete": ("points", "weights"),
-}
-_FUNCTION_KEYS = {
-    "constant": ("value",),
-    "half_line": ("threshold", "orientation"),
-    "half_space": ("point", "direction"),
-    "exponential": ("theta", "domain"),
-}
-_CLASS_KEYS = {
-    "half_lines": (),
-    "half_spaces": ("dim",),
-    "exponentials": ("a", "b", "radius"),
-    "finite_list": ("functions", "vc_dim"),
-}
-
-
 def _refuse_unknown(raw: dict, known, where: str) -> None:
     """Refuse a key that nothing reads: a misspelt one would silently leave
     its field at the default."""
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _kind_of(spec, what: str, keys: dict):
-    """The spec's kind, after refusing a key that a spec of that kind does
-    not read; an unknown kind is left to the caller."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} spec must be a JSON object, not {spec!r}")
-    kind = spec.get("kind")
-    if isinstance(kind, str) and kind in keys:
-        _refuse_unknown(spec, ("kind", *keys[kind]), f"the {kind} {what} spec")
-    return kind
 
 
 def _int(value) -> int:
@@ -120,81 +82,63 @@ def _points(values) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(p) for p in values)
 
 
-def parse_count(spec: dict) -> CountLaw:
-    kind = _kind_of(spec, "count law", _COUNT_KEYS)
+def _cox(spec: dict) -> CoxMixture:
+    if "atoms" in spec:
+        return CoxMixture(atoms=tuple((t, w) for t, w in spec["atoms"]))
+    return CoxMixture(log_mean=float(spec["log_mean"]), log_sigma=float(spec["log_sigma"]))
+
+
+# family -> kind -> (the keys besides "kind" that a spec of that kind reads,
+# the builder of its object from the spec)
+_SPECS = {
+    "count law": {
+        "fixed": (("k",), lambda s: FixedCount(_int(s["k"]))),
+        "shifted_poisson": (("lambda",), lambda s: ShiftedPoisson(float(s["lambda"]))),
+        "pmf": (("probs",), lambda s: Pmf(tuple(s["probs"]))),
+        "cox": (("atoms", "log_mean", "log_sigma"), _cox),
+    },
+    "displacement law": {
+        "uniform": (("low", "high"), lambda s: UniformBox(s["low"], s["high"])),
+        "gaussian": (("mean", "std"), lambda s: DiagonalGaussian(s["mean"], s["std"])),
+        "discrete": (("points", "weights"), lambda s: DiscretePoints(s["points"], s["weights"])),
+    },
+    "function": {
+        "constant": (("value",), lambda s: Constant(float(s["value"]))),
+        "half_line": (("threshold", "orientation"), lambda s: HalfLineIndicator(
+            float(s["threshold"]), _int(s.get("orientation", 1)))),
+        "half_space": (("point", "direction"),
+                       lambda s: HalfSpaceIndicator(s["point"], s["direction"])),
+        "exponential": (("theta", "domain"), lambda s: Exponential(
+            float(s["theta"]), tuple(s.get("domain", (-1.0, 1.0))))),
+    },
+    "class": {
+        "half_lines": ((), lambda s: half_lines()),
+        "half_spaces": (("dim",), lambda s: half_spaces(_int(s.get("dim", 1)))),
+        "exponentials": (("a", "b", "radius"), lambda s: exponentials(
+            float(s.get("a", -1.0)), float(s.get("b", 1.0)), float(s.get("radius", 1.0)))),
+        "finite_list": (("functions", "vc_dim"), lambda s: finite_list(
+            [_parse(f, "function") for f in s["functions"]], _int(s.get("vc_dim", 1)))),
+    },
+}
+
+
+def _parse(spec, family: str):
+    """The object a ``family`` spec describes, built by its kind's entry in
+    ``_SPECS``; a spec that is not an object, an unknown kind, a key the
+    kind does not read and a value its builder refuses are config errors."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{family} spec must be a JSON object, not {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPECS[family]:
+        raise ConfigError(f"unknown {family} kind {kind!r}")
+    keys, build = _SPECS[family][kind]
+    _refuse_unknown(spec, ("kind", *keys), f"the {kind} {family} spec")
     try:
-        if kind == "fixed":
-            return FixedCount(_int(spec["k"]))
-        if kind == "shifted_poisson":
-            return ShiftedPoisson(float(spec["lambda"]))
-        if kind == "pmf":
-            return Pmf(tuple(spec["probs"]))
-        if kind == "cox":
-            if "atoms" in spec:
-                return CoxMixture(atoms=tuple((t, w) for t, w in spec["atoms"]))
-            return CoxMixture(
-                log_mean=float(spec["log_mean"]), log_sigma=float(spec["log_sigma"])
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid count law spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown count law kind {kind!r}")
-
-
-def parse_disp(spec: dict) -> DisplacementLaw:
-    kind = _kind_of(spec, "displacement law", _DISP_KEYS)
-    try:
-        if kind == "uniform":
-            return UniformBox(spec["low"], spec["high"])
-        if kind == "gaussian":
-            return DiagonalGaussian(spec["mean"], spec["std"])
-        if kind == "discrete":
-            return DiscretePoints(spec["points"], spec["weights"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid displacement law spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown displacement law kind {kind!r}")
-
-
-def parse_function(spec: dict) -> EvalFunction:
-    kind = _kind_of(spec, "function", _FUNCTION_KEYS)
-    try:
-        if kind == "constant":
-            return Constant(float(spec["value"]))
-        if kind == "half_line":
-            return HalfLineIndicator(
-                float(spec["threshold"]), _int(spec.get("orientation", 1))
-            )
-        if kind == "half_space":
-            return HalfSpaceIndicator(spec["point"], spec["direction"])
-        if kind == "exponential":
-            return Exponential(
-                float(spec["theta"]), tuple(spec.get("domain", (-1.0, 1.0)))
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid function spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown function kind {kind!r}")
-
-
-def parse_class(spec: dict) -> FunctionClass:
-    kind = _kind_of(spec, "class", _CLASS_KEYS)
-    try:
-        if kind == "half_lines":
-            return half_lines()
-        if kind == "half_spaces":
-            return half_spaces(_int(spec.get("dim", 1)))
-        if kind == "exponentials":
-            return exponentials(
-                float(spec.get("a", -1.0)),
-                float(spec.get("b", 1.0)),
-                float(spec.get("radius", 1.0)),
-            )
-        if kind == "finite_list":
-            members = [parse_function(f) for f in spec["functions"]]
-            return finite_list(members, _int(spec.get("vc_dim", 1)))
+        return build(spec)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid class spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown class kind {kind!r}")
+        raise ConfigError(f"invalid {family} spec {spec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -227,7 +171,7 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+            raise ConfigError(f"threads must be >= 1, not {self.threads}")
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self.count.moments().mean
         if not math.isfinite(mean):
@@ -407,11 +351,11 @@ def build_config(raw: dict, kind: str | None = None) -> ExperimentConfig:
             f"config kind {raw['kind']!r} does not match subcommand {kind!r}"
         )
     try:
-        count = parse_count(raw["count"])
-        disp = parse_disp(raw["disp"])
+        count = _parse(raw["count"], "count law")
+        disp = _parse(raw["disp"], "displacement law")
     except KeyError as exc:
         raise ConfigError(f"config is missing the {exc.args[0]!r} section") from exc
-    cls = parse_class(raw["function_class"]) if "function_class" in raw else None
+    cls = _parse(raw["function_class"], "class") if "function_class" in raw else None
     values = {}
     for key, (name, convert) in _FIELDS.items():
         if key not in raw:

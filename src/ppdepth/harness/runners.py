@@ -5,7 +5,9 @@ its index (a block draws them with ``RngStream.child_generators``, one
 reseated generator), and results are folded in replicate order, so outputs are
 byte-identical for any worker count.  ``_over_replicates`` splits the
 replicates into blocks purely for scheduling and runs one module-level block
-function per block.  Configs arrive validated, so runners hold study logic
+function per block, on ``config.threads`` workers.  Every runner takes the
+config alone (``run_simulate`` also its output directory): configs arrive
+validated, with their worker count resolved, so runners hold study logic
 only.
 """
 
@@ -85,12 +87,12 @@ def _join(parts):
     return np.concatenate(parts)
 
 
-def _over_replicates(block, shared, config: ExperimentConfig, threads: int | None):
-    """``block(shared, lo, hi)`` over the config's replicates, on ``threads``
-    workers (default: the config's), joined in replicate order."""
-    threads = threads or config.threads
+def _over_replicates(block, shared, config: ExperimentConfig):
+    """``block(shared, lo, hi)`` over the config's replicates, on
+    ``config.threads`` workers, joined in replicate order."""
+    threads = config.threads
     total = config.replicates
-    per = max(1, min(512, math.ceil(total / max(1, threads * 4))))
+    per = max(1, min(512, math.ceil(total / (threads * 4))))
     args = [(block, shared, lo, min(lo + per, total)) for lo in range(0, total, per)]
     if threads <= 1 or len(args) <= 1:
         return _join([_run_block(a) for a in args])
@@ -216,10 +218,10 @@ def _deviation_block(shared, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _deviations_for(config: ExperimentConfig, n: int, tag: str, threads: int | None) -> np.ndarray:
+def _deviations_for(config: ExperimentConfig, n: int, tag: str) -> np.ndarray:
     ref = reference_for(config.count, config.disp)
     shared = (config.count, config.disp, config.function_class, ref, n, config.seed, tag)
-    return _over_replicates(_deviation_block, shared, config, threads)
+    return _over_replicates(_deviation_block, shared, config)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +229,11 @@ def _deviations_for(config: ExperimentConfig, n: int, tag: str, threads: int | N
 # ---------------------------------------------------------------------------
 
 
-def run_ulln(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_ulln(config: ExperimentConfig) -> RunOutput:
     records: list[ResultRecord] = []
     means = []
     for n in config.n_grid:
-        devs = _deviations_for(config, n, "ulln", threads)
+        devs = _deviations_for(config, n, "ulln")
         params = (("n", n),)
         for r, v in enumerate(devs):
             records.append(ResultRecord("sup_deviation", float(v), r, params))
@@ -316,13 +318,13 @@ def _normal_ks_distance(values: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def run_clt(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_clt(config: ExperimentConfig) -> RunOutput:
     fs = config.function_class.members
     n = config.n_grid[0]
     ref = reference_for(config.count, config.disp)
     mus = tuple(ref.mass_of(f) for f in fs)
     shared = (config.count, config.disp, fs, mus, n, config.seed)
-    z = _over_replicates(_clt_block, shared, config, threads)
+    z = _over_replicates(_clt_block, shared, config)
 
     gt = _single_pattern_matrix(
         config.count, config.disp, fs, config.gt_draws, RngStream(config.seed).child("clt-gt")
@@ -366,13 +368,13 @@ def run_clt(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 
-def run_bound(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_bound(config: ExperimentConfig) -> RunOutput:
     v = config.function_class.vc_dim
     records: list[ResultRecord] = []
     table_rows: list[dict] = []
     violations = 0
     for n in config.n_grid:
-        devs = _deviations_for(config, n, "bound", threads)
+        devs = _deviations_for(config, n, "bound")
         for row in _exceedances(config, n, devs, v):
             violations += row.violated
             params = (("n", n), ("epsilon", row.epsilon))
@@ -427,7 +429,7 @@ def _search_box(disp: DisplacementLaw):
     return tuple(points.min(axis=0) - 3.0), tuple(points.max(axis=0) + 3.0)
 
 
-def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_depth(config: ExperimentConfig) -> RunOutput:
     d = config.disp.dim
     ref = reference_for(config.count, config.disp)
     box = config.depth_box or _search_box(config.disp)
@@ -439,7 +441,7 @@ def run_depth(config: ExperimentConfig, threads: int | None = None) -> RunOutput
     for n in config.n_grid:
         shared = (config.count, config.disp, ref, n, config.seed, config.eval_points,
                   box, deepest_cap)
-        devs, sups, deepest = _over_replicates(_depth_block, shared, config, threads)
+        devs, sups, deepest = _over_replicates(_depth_block, shared, config)
         params = (("n", n),)
         for r, (dv, sv) in enumerate(zip(devs, sups)):
             records.append(ResultRecord("depth_sup_deviation", float(dv), r, params))
@@ -499,7 +501,7 @@ def _brw_block(shared, lo: int, hi: int):
     return err_hat, err_tilde, w_pair
 
 
-def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_brw(config: ExperimentConfig) -> RunOutput:
     thetas = config.theta_grid or (0.0,)
     j_grid = config.j_grid
     j_star = max(j_grid)
@@ -510,7 +512,7 @@ def run_brw(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
     gamma_f = ref.pattern_covariance(f, f)
     shared = (config.count, config.disp, j_grid, thetas, config.fluct_theta,
               j_star, config.brw_generations, m_true, mu_f, config.seed)
-    err_hat, err_tilde, w_pair = _over_replicates(_brw_block, shared, config, threads)
+    err_hat, err_tilde, w_pair = _over_replicates(_brw_block, shared, config)
 
     records: list[ResultRecord] = []
     violations = 0
@@ -566,12 +568,12 @@ def _diag_block(shared, lo: int, hi: int):
     return devs, syms
 
 
-def run_diag(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
+def run_diag(config: ExperimentConfig) -> RunOutput:
     n = config.n_grid[0]
     eps = config.epsilon_grid[0] if config.epsilon_grid else 0.5
     ref = reference_for(config.count, config.disp)
     shared = (config.count, config.disp, ref, n, config.seed)
-    devs, syms = _over_replicates(_diag_block, shared, config, threads)
+    devs, syms = _over_replicates(_diag_block, shared, config)
 
     records: list[ResultRecord] = []
     violations = 0
@@ -608,7 +610,7 @@ def run_diag(config: ExperimentConfig, threads: int | None = None) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 
-def run_simulate(config: ExperimentConfig, out_dir, threads: int | None = None) -> RunOutput:
+def run_simulate(config: ExperimentConfig, out_dir) -> RunOutput:
     from ..branching import dump_tree  # read per call: benchmarks/tracing.py patches it
 
     rng = RngStream(config.seed).child("simulate")
@@ -639,7 +641,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, threads: int | None = None, out_dir=".") -> RunOutput:
+def run_experiment(config: ExperimentConfig, out_dir=".") -> RunOutput:
     if config.kind == "simulate":
-        return run_simulate(config, out_dir, threads)
-    return _RUNNERS[config.kind](config, threads)
+        return run_simulate(config, out_dir)
+    return _RUNNERS[config.kind](config)

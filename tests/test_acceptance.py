@@ -8,6 +8,7 @@ closed-form targets, and closed-form tail bounds against empirical
 exceedance frequencies on seeded replicates.
 """
 
+import dataclasses
 import glob
 import hashlib
 import json
@@ -141,7 +142,7 @@ class TestCriterion3UllnRate:
                     "seed": 52,
                 }
             )
-            out = run_experiment(cfg, threads=THREADS)
+            out = run_experiment(dataclasses.replace(cfg, threads=THREADS))
             slope = next(r for r in out.records if r.statistic == "loglog_slope").value
             slopes[name] = (slope, tol)
             if name == "fixed":
@@ -200,7 +201,7 @@ class TestCriterion4CltCovariance:
                 "seed": 53,
             }
         )
-        out = run_experiment(cfg, threads=THREADS)
+        out = run_experiment(dataclasses.replace(cfg, threads=THREADS))
         rep = {}
         gt = {}
         for r in out.records:
@@ -261,7 +262,7 @@ def _criterion5_output():
             "seed": 54,
         }
     )
-    return run_experiment(cfg, threads=THREADS)
+    return run_experiment(dataclasses.replace(cfg, threads=THREADS))
 
 
 class TestCriterion5TailBound:
@@ -441,7 +442,7 @@ class TestCriterion8BranchingEstimators:
                 "seed": 58,
             }
         )
-        out = run_experiment(cfg, threads=THREADS)
+        out = run_experiment(dataclasses.replace(cfg, threads=THREADS))
         errors = {"mean_abs_error_generation": {}, "mean_abs_error_cumulative": {}}
         for r in out.records:
             if r.statistic in errors:
@@ -484,7 +485,7 @@ class TestCriterion9Symmetrization:
         with open(os.path.join(CONFIG_DIR, "diag.json")) as fh:
             raw = json.load(fh)
         assert raw["n_grid"] == [100] and raw["replicates"] == 5000
-        out = run_experiment(build_config(raw), threads=THREADS)
+        out = run_experiment(dataclasses.replace(build_config(raw), threads=THREADS))
         by_stat = {r.statistic: r.value for r in out.records}
         elapsed = time.perf_counter() - start
         ok = (

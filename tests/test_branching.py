@@ -348,18 +348,22 @@ class TestFluctuations:
         np.testing.assert_array_equal(vals, [0.0])
 
     def test_weights_and_estimator_selection(self):
-        tree = grow_tree(ShiftedPoisson(1.0), UNIFORM01, 4, RngStream(13))
+        """Each function's fluctuation is, bit for bit, its weighted
+        ``lotka_nagaev`` error, or with ``cumulative`` its weighted
+        ``harris`` error, at every generation."""
+        tree = grow_tree(ShiftedPoisson(1.0), UNIFORM01, 6, RngStream(13))
         ref = reference_for(ShiftedPoisson(1.0), UNIFORM01)
-        f = HalfLineIndicator(0.5)
-        j = 2
-        gen = normalized_fluctuations(tree, j, [f], ref)[0]
-        cum = normalized_fluctuations(tree, j, [f], ref, cumulative=True)[0]
-        assert gen == pytest.approx(
-            math.sqrt(tree.size(j)) * (lotka_nagaev(tree, j, f) - ref.mass_of(f))
-        )
-        assert cum == pytest.approx(
-            math.sqrt(tree.cumulative_size(j)) * (harris(tree, j, f) - ref.mass_of(f))
-        )
+        fs = [HalfLineIndicator(0.5), HalfLineIndicator(0.3, -1), Constant(1.5),
+              Exponential(0.7, (0.0, 1.0)), Exponential(-1.3, (0.0, 1.0))]
+        for j in range(tree.generations):
+            gen = normalized_fluctuations(tree, j, fs, ref)
+            cum = normalized_fluctuations(tree, j, fs, ref, cumulative=True)
+            want_gen = [math.sqrt(tree.size(j)) * (lotka_nagaev(tree, j, f) - ref.mass_of(f))
+                        for f in fs]
+            want_cum = [math.sqrt(tree.cumulative_size(j)) * (harris(tree, j, f) - ref.mass_of(f))
+                        for f in fs]
+            assert gen.tobytes() == np.array(want_gen).tobytes(), j
+            assert cum.tobytes() == np.array(want_cum).tobytes(), j
 
     def test_variance_matches_pattern_covariance(self):
         """Conditionally on |V_j|, the scaled error has variance gamma(f, f)
