@@ -1044,7 +1044,8 @@ class TestCli:
         finite = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1e6, 1e6)
         rows = [st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=5)
                 for coord in (finite, NUMBERS)]
-        fitting = st.sampled_from(["approx:3", "approx:8", {1: "exact1d", 2: "exact2d"}.get(d, "approx:5")])
+        exact = {1: "exact1d", 2: "exact2d"}.get(d, "approx:5")
+        fitting = st.sampled_from(["approx:3", "approx:8", exact])
         methods = st.sampled_from(["exact1d", "exact2d", "approx", "approx:0", "approx:65537"])
         payload = data.draw(st.fixed_dictionaries(
             {"points": st.one_of(rows[0], rows[0], rows[1], JSON_VALUES),
